@@ -3,13 +3,14 @@
 Subcommands: classify, tree, transitive, reach, mahavier, discretize,
 gallery.  Exit codes: 0 success (unknown-at-horizon results are marked in
 the output but still exit 0), 1 expectation or assertion failure, 2 usage
-or parse errors.  All reports are deterministic and record the parameters
-they were produced with.
+or parse errors, reported on one line without a traceback.  All reports
+are deterministic and record the parameters they were produced with.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -62,6 +63,35 @@ def _fraction_arg(text: str) -> Fraction:
         raise _UsageError(str(exc)) from exc
 
 
+def _count(least: int):
+    """argparse type: a decimal integer no smaller than `least`."""
+
+    def parse(text: str) -> int:
+        if not re.fullmatch(r"[0-9]+", text) or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type: a strict rational (see parse_fraction) above zero."""
+    try:
+        value = parse_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become usage errors: one line, exit code 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _finite_point(relation: FiniteRelation, name: str) -> int:
     if name not in relation.space.index:
         raise _UsageError(f"unknown point {name!r}; points: {list(relation.space.labels)}")
@@ -83,7 +113,7 @@ def _header(cmd: str, **params) -> str:
 
 def _cmd_classify(args) -> int:
     relation, density = _load(args.file)
-    eps = _fraction_arg(args.eps) if args.eps else DEFAULT_EPS
+    eps = args.eps or DEFAULT_EPS
     horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     print(_header("classify", file=args.file, eps=eps, horizon=horizon))
     if isinstance(relation, FiniteRelation):
@@ -197,7 +227,7 @@ def _cmd_tree(args) -> int:
 
 def _cmd_transitive(args) -> int:
     relation, _ = _load(args.file)
-    eps = _fraction_arg(args.eps) if args.eps else DEFAULT_DELTA
+    eps = args.eps or DEFAULT_DELTA
     horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     if isinstance(relation, FiniteRelation):
         print(_header("transitive", file=args.file))
@@ -288,12 +318,11 @@ def _cmd_discretize(args) -> int:
         raise _UsageError("discretize applies to interval instances")
     from .symbolic import discretize
 
-    delta = _fraction_arg(args.delta)
-    finite, predicate = discretize(relation, delta)
+    finite, predicate = discretize(relation, args.delta)
     text = serialize_instance(finite, predicate)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(_header("discretize", file=args.file, delta=delta))
+    print(_header("discretize", file=args.file, delta=args.delta))
     print(f"boxes: {finite.space.size}  edges: {len(finite.edges)}  -> {args.output}")
     return 0
 
@@ -332,7 +361,7 @@ def _cmd_gallery(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="crdyn",
         description="transitivity taxonomy for dynamical systems given by closed relations",
     )
@@ -341,40 +370,40 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="per-point classification table")
     c.add_argument("file")
     c.add_argument("--point", default=None)
-    c.add_argument("--eps", default=None)
-    c.add_argument("--horizon", type=int, default=None)
+    c.add_argument("--eps", type=_positive_fraction, default=None)
+    c.add_argument("--horizon", type=_count(0), default=None)
     c.set_defaults(fn=_cmd_classify)
 
     t = sub.add_parser("tree", help="level listing of the walk tree, optional DOT export")
     t.add_argument("file")
     t.add_argument("--point", required=True)
-    t.add_argument("--depth", type=int, required=True)
+    t.add_argument("--depth", type=_count(0), required=True)
     t.add_argument("--dot", default=None)
     t.set_defaults(fn=_cmd_tree)
 
     tr = sub.add_parser("transitive", help="system transitivity and the eight-statement vector")
     tr.add_argument("file")
     tr.add_argument("--plus", action="store_true")
-    tr.add_argument("--eps", default=None)
-    tr.add_argument("--horizon", type=int, default=None)
+    tr.add_argument("--eps", type=_positive_fraction, default=None)
+    tr.add_argument("--horizon", type=_count(0), default=None)
     tr.set_defaults(fn=_cmd_transitive)
 
     r = sub.add_parser("reach", help="reach chain with stabilization report")
     r.add_argument("file")
     r.add_argument("--point", required=True)
-    r.add_argument("--steps", type=int, default=None)
+    r.add_argument("--steps", type=_count(0), default=None)
     r.set_defaults(fn=_cmd_reach)
 
     m = sub.add_parser("mahavier", help="count or list fixed-length walks")
     m.add_argument("file")
-    m.add_argument("--depth", type=int, required=True)
+    m.add_argument("--depth", type=_count(1), required=True)
     m.add_argument("--count", action="store_true")
-    m.add_argument("--list", type=int, default=None, metavar="K")
+    m.add_argument("--list", type=_count(0), default=None, metavar="K")
     m.set_defaults(fn=_cmd_mahavier)
 
     d = sub.add_parser("discretize", help="sound grid outer approximation")
     d.add_argument("file")
-    d.add_argument("--delta", required=True)
+    d.add_argument("--delta", type=_positive_fraction, required=True)
     d.add_argument("-o", "--output", required=True)
     d.set_defaults(fn=_cmd_discretize)
 
@@ -387,8 +416,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -399,6 +428,10 @@ def main(argv: list[str] | None = None) -> int:
     except (IllegalPointError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # a range check below the argument layer: still a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

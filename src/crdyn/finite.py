@@ -195,35 +195,37 @@ def mahavier_enumerate(G: FiniteRelation, m: int, limit: int | None = None) -> l
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
     out: list[Walk] = []
-
-    def extend(prefix: list[int]) -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
-        if len(prefix) == m + 1:
-            out.append(Walk(tuple(prefix), G))
-            return limit is None or len(out) < limit
-        for nxt in G.successors(prefix[-1]):
-            prefix.append(nxt)
-            keep_going = extend(prefix)
-            prefix.pop()
-            if not keep_going:
-                return False
-        return True
-
+    if limit == 0:
+        return out
     for start in range(G.space.size):
-        if not extend([start]):
-            break
+        for points in walks_from(G, start, m):
+            out.append(Walk(points, G))
+            if len(out) == limit:
+                return out
     return out
 
 
 def walks_from(G: FiniteRelation, start: int, steps: int) -> Iterator[tuple[int, ...]]:
-    """All walks of exactly `steps` steps from a point, lexicographic."""
+    """All walks of exactly `steps` steps from a point, lexicographic.
 
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == steps + 1:
-            yield prefix
-            return
-        for nxt in G.successors(prefix[-1]):
-            yield from rec(prefix + (nxt,))
-
-    yield from rec((start,))
+    The depth-first walk keeps an explicit stack, so walks of any length are
+    enumerated without recursion.
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if steps == 0:
+        yield (start,)
+        return
+    prefix = [start]
+    # branches[i] yields the successors of prefix[i] not yet explored
+    branches = [iter(G.successors(start))]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            branches.pop()
+            prefix.pop()
+        elif len(prefix) == steps:
+            yield tuple(prefix) + (nxt,)
+        else:
+            prefix.append(nxt)
+            branches.append(iter(G.successors(nxt)))

@@ -11,10 +11,12 @@ Schema (UTF-8 JSON, unknown fields rejected):
          {"type": "segment", "from": [x, y], "to": [x, y]} |
          {"type": "point", "at": [x, y]}, ...]}}
 
-Rationals are integers or reduced "p/q" strings; floats are rejected.  An
-optional top-level "density" block carries the eps-net metadata written by
-the discretize command.  Serialization is canonical: sorted keys, reduced
-rationals, integers as JSON integers.
+Rationals are JSON integers, or strings that are an integer or "p/q" with
+an optional leading minus and decimal digits only; floats, decimals,
+exponents, underscores and whitespace are rejected.  Input need not be
+reduced; output always is.  An optional top-level "density" block carries
+the eps-net metadata written by the discretize command.  Serialization is
+canonical: sorted keys, reduced rationals, integers as JSON integers.
 """
 
 from __future__ import annotations

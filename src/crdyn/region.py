@@ -6,6 +6,8 @@ with Fraction endpoints.  All predicates are decided exactly; no floats.
 
 from __future__ import annotations
 
+import bisect
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -209,8 +211,6 @@ def eps_dense(space: Space1D, covered: Region1D, eps) -> bool:
     `covered`, so only finitely many rational candidates need checking.  The
     scan is kept linear in the number of covered pieces.
     """
-    import bisect
-
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -251,6 +251,74 @@ def eps_dense(space: Space1D, covered: Region1D, eps) -> bool:
     return True
 
 
+class OrbitCover:
+    """A finite orbit kept for incremental eps-density tests on one space.
+
+    `points` is the sorted tuple of distinct orbit points and `bad` counts the
+    gaps between consecutive points that are wider than 2 eps and whose
+    midpoint lies in the space.  By the candidate-point argument of
+    `eps_dense`, the orbit is an eps-net exactly when no gap is bad and every
+    component endpoint lies within eps of an orbit point.  Covers are
+    immutable: `insert` returns a new cover (one bisect, at most three gap
+    tests and a tuple copy), so a depth-first search can keep one per state.
+    """
+
+    __slots__ = ("points", "bad", "_frame")
+
+    def __init__(self, space: Space1D, eps, points: Iterable = ()):
+        eps = _as_fraction(eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        comps = sorted(space.intervals + tuple((p, p) for p in space.isolated))
+        ends = tuple(e for lo, hi in comps for e in ((lo,) if lo == hi else (lo, hi)))
+        self._frame = (eps, 2 * eps, tuple(lo for lo, _ in comps), tuple(hi for _, hi in comps), ends)
+        self.points = tuple(sorted({_as_fraction(p) for p in points}))
+        self.bad = sum(self._bad_gap(p, q) for p, q in zip(self.points, self.points[1:]))
+
+    def _bad_gap(self, p: Fraction, q: Fraction) -> bool:
+        _, width, lows, highs, _ = self._frame
+        if q - p <= width:
+            return False
+        mid = (p + q) / 2
+        i = bisect.bisect_right(lows, mid) - 1
+        return i >= 0 and mid <= highs[i]
+
+    def insert(self, v: Fraction) -> "OrbitCover":
+        """The cover of the orbit with v added; self when v is already in it."""
+        pts = self.points
+        i = bisect.bisect_left(pts, v)
+        if i < len(pts) and pts[i] == v:
+            return self
+        bad = self.bad
+        if 0 < i < len(pts):
+            bad -= self._bad_gap(pts[i - 1], pts[i])
+        if i > 0:
+            bad += self._bad_gap(pts[i - 1], v)
+        if i < len(pts):
+            bad += self._bad_gap(v, pts[i])
+        new = object.__new__(OrbitCover)
+        new._frame = self._frame
+        new.points = pts[:i] + (v,) + pts[i:]
+        new.bad = bad
+        return new
+
+    def distance(self, x: Fraction) -> Fraction:
+        """Exact distance from x to the nearest orbit point (the orbit is non-empty)."""
+        pts = self.points
+        i = bisect.bisect_left(pts, x)
+        if i == len(pts):
+            return x - pts[-1]
+        right = pts[i] - x
+        return right if i == 0 or right == 0 else min(right, x - pts[i - 1])
+
+    def dense(self) -> bool:
+        """Whether every point of the space is within eps of the orbit."""
+        if not self.points or self.bad:
+            return False
+        eps = self._frame[0]
+        return all(self.distance(e) <= eps for e in self._frame[4])
+
+
 def grid_cells(space: Space1D, delta) -> list[Piece]:
     """Closed cells of width <= delta covering the space, ascending.
 
@@ -282,15 +350,24 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_fraction(text) -> Fraction:
-    """Accept an int, or a 'p/q' / integer string; reject floats."""
+    """Accept an int, or an integer or '-?p/q' string; reject everything else.
+
+    Decimals, exponents, underscores, signs on the denominator and surrounding
+    whitespace are rejected.  An unreduced 'p/q' is accepted and reduced.
+    """
     if isinstance(text, bool):
         raise ValueError("booleans are not rationals")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational {text!r}") from exc
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"malformed rational {text!r}; expected an integer or 'p/q'")
+        num, _, den = text.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"malformed rational {text!r}; zero denominator")
+        return Fraction(int(num), int(den) if den else 1)
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {text!r}")

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .classify import BudgetExceededError, Certainty
 from .density import EpsNet
 from .finite import FiniteRelation, FiniteSpace
 from .region import (
+    OrbitCover,
     Region1D,
     Space1D,
     _as_fraction,
-    eps_dense,
     grid_cells,
 )
 
@@ -354,6 +354,84 @@ class WalkSearchResult:
         return Certainty.CERTIFIED if self.found else Certainty.UNKNOWN_AT_HORIZON
 
 
+_PRUNE = object()  # a visit verdict: drop this state and keep searching
+
+
+def _descending(cover: OrbitCover, succs: list[Fraction]) -> list[Fraction]:
+    return sorted(succs, reverse=True)
+
+
+def _orbit_dfs(
+    R: SymbolicRelation,
+    x: Fraction,
+    eps: Fraction,
+    horizon: int,
+    step: Fraction,
+    budget: int,
+    visit: Callable[[tuple[Fraction, ...], frozenset, OrbitCover], object],
+    order: Callable[[OrbitCover, list[Fraction]], list[Fraction]] = _descending,
+    memo_first: bool = True,
+) -> tuple[str, tuple[Fraction, ...] | None, int]:
+    """Memoised depth-first search over the sampled exact walks from x.
+
+    A state is a walk and its orbit, kept as a frozenset for the memo key
+    (last point, orbit) and as an OrbitCover for the eps tests.  The memo
+    drops a state already reached with no more steps used, before visit when
+    memo_first, else after it.  Each visit counts a node and returns None to
+    go on, _PRUNE to drop the state, or a witness walk to stop.  A survivor
+    with steps left pushes its successors in order(cover, successors), so the
+    last is explored first.  Children are built when popped, so siblings
+    waiting on the stack share their parent's walk, orbit and cover.
+
+    Returns (status, witness, nodes); status is "found", "exhausted", or
+    "budget" (more than `budget` nodes).
+    """
+    best: dict[tuple[Fraction, frozenset], int] = {}
+
+    def stale(v: Fraction, orbit: frozenset, used: int) -> bool:
+        key = (v, orbit)
+        prev = best.get(key)
+        if prev is not None and prev <= used:
+            return True
+        best[key] = used
+        return False
+
+    nodes = 0
+    stack = [((), frozenset(), OrbitCover(R.space, eps), x)]
+    while stack:
+        prefix, seen, parent, v = stack.pop()
+        walk = prefix + (v,)
+        orbit = seen | {v}
+        cover = parent.insert(v)
+        used = len(walk) - 1
+        if memo_first and stale(v, orbit, used):
+            continue
+        nodes += 1
+        if nodes > budget:
+            return "budget", None, nodes
+        got = visit(walk, orbit, cover)
+        if got is _PRUNE:
+            continue
+        if got is not None:
+            return "found", got, nodes
+        if not memo_first and stale(v, orbit, used):
+            continue
+        if used >= horizon:
+            continue
+        for w in order(cover, successor_choices(R, v, step)):
+            stack.append((walk, orbit, cover, w))
+    return "exhausted", None, nodes
+
+
+def _search_args(R: SymbolicRelation, x, eps, choice_step) -> tuple[Fraction, Fraction, Fraction]:
+    x = _as_fraction(x)
+    eps = _as_fraction(eps)
+    if not R.space.contains_point(x):
+        raise ValueError(f"{x} is not a point of the space")
+    step = _as_fraction(choice_step) if choice_step is not None else eps / 2
+    return x, eps, step
+
+
 def bounded_walk_search(
     R: SymbolicRelation,
     x,
@@ -367,42 +445,20 @@ def bounded_walk_search(
     Interval-valued successors are sampled on a dyadic grid (choice_step,
     default eps/2); every emitted witness is an exact walk of the relation.
     Gap-filling successors are explored first, so dense witnesses are found
-    quickly when they exist at this horizon.
+    quickly when they exist at this horizon.  The orbit is carried as an
+    OrbitCover, so the density test and the gap-filling order cost O(log h)
+    comparisons per node, plus an O(h) tuple copy.
     """
-    x = _as_fraction(x)
-    eps = _as_fraction(eps)
-    if not R.space.contains_point(x):
-        raise ValueError(f"{x} is not a point of the space")
-    step = _as_fraction(choice_step) if choice_step is not None else eps / 2
-    nodes = 0
-    best: dict[tuple[Fraction, frozenset], int] = {}
-    stack: list[tuple[tuple[Fraction, ...], frozenset]] = [((x,), frozenset([x]))]
-    while stack:
-        walk, orbit = stack.pop()
-        used = len(walk) - 1
-        key = (walk[-1], orbit)
-        prev = best.get(key)
-        if prev is not None and prev <= used:
-            continue
-        best[key] = used
-        nodes += 1
-        if nodes > budget:
-            return WalkSearchResult("budget", None, nodes)
-        if eps_dense(R.space, Region1D.from_points(orbit), eps):
-            return WalkSearchResult("found", walk, nodes)
-        if used >= horizon:
-            continue
-        covered = Region1D.from_points(orbit)
-        succs = successor_choices(R, walk[-1], step)
-        # explore the farthest-from-covered successor first (LIFO: push last)
-        def gain(v: Fraction) -> Fraction:
-            d = covered.distance_to(v)
-            return d if d is not None else Fraction(0)
+    x, eps, step = _search_args(R, x, eps, choice_step)
 
-        ordered = sorted(succs, key=lambda v: (gain(v), -v))
-        for v in ordered:
-            stack.append((walk + (v,), orbit | {v}))
-    return WalkSearchResult("exhausted", None, nodes)
+    def visit(walk, orbit, cover):
+        return walk if cover.dense() else None
+
+    # explore the farthest-from-covered successor first (LIFO: push last)
+    def farthest_last(cover, succs):
+        return sorted(succs, key=lambda v: (cover.distance(v), -v))
+
+    return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, farthest_last))
 
 
 @dataclass(frozen=True)
@@ -430,34 +486,21 @@ def nondense_loop_search(
     choice_step=None,
     budget: int = 100000,
 ) -> LoopSearchResult:
-    x = _as_fraction(x)
-    eps = _as_fraction(eps)
-    if not R.space.contains_point(x):
-        raise ValueError(f"{x} is not a point of the space")
-    step = _as_fraction(choice_step) if choice_step is not None else eps / 2
-    nodes = 0
-    best: dict[tuple[Fraction, frozenset], int] = {}
-    stack: list[tuple[tuple[Fraction, ...], frozenset]] = [((x,), frozenset([x]))]
-    while stack:
-        walk, orbit = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            return LoopSearchResult("budget", None, nodes)
-        if eps_dense(R.space, Region1D.from_points(orbit), eps):
-            continue  # orbits only grow; nothing non-dense lies beyond
-        if len(walk) > 1 and walk[-1] in walk[:-1]:
-            return LoopSearchResult("found", walk, nodes)
-        used = len(walk) - 1
-        key = (walk[-1], orbit)
-        prev = best.get(key)
-        if prev is not None and prev <= used:
-            continue
-        best[key] = used
-        if used >= horizon:
-            continue
-        for v in sorted(successor_choices(R, walk[-1], step), reverse=True):
-            stack.append((walk + (v,), orbit | {v}))
-    return LoopSearchResult("exhausted", None, nodes)
+    """Search for a walk from x that revisits a point before its orbit is an eps-net.
+
+    Every popped state counts as a node, memo hits included.  As in
+    bounded_walk_search, the orbit is an OrbitCover: O(log h) comparisons per
+    node for the density test, plus an O(h) tuple copy.
+    """
+    x, eps, step = _search_args(R, x, eps, choice_step)
+
+    def visit(walk, orbit, cover):
+        if cover.dense():
+            return _PRUNE  # orbits only grow; nothing non-dense lies beyond
+        # expanded walks never repeat a point, so a repeat is the last step
+        return walk if len(orbit) < len(walk) else None
+
+    return LoopSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, memo_first=False))
 
 
 @dataclass(frozen=True)
@@ -486,31 +529,20 @@ def sym_branch_cover(
     x = _as_fraction(x)
     eps = _as_fraction(eps)
     step = _as_fraction(choice_step) if choice_step is not None else eps / 2
-    nodes = 0
-    best: dict[tuple[Fraction, frozenset], int] = {}
     # every visited state contributes its orbit; a revisit with fewer steps
     # used gets re-explored, so walks achieving any maximal orbit survive the
     # pruning (a pruned prefix could be spliced with an earlier, shorter one)
     achieved: dict[frozenset, tuple[Fraction, ...]] = {}
-    stack: list[tuple[tuple[Fraction, ...], frozenset]] = [((x,), frozenset([x]))]
-    while stack:
-        walk, orbit = stack.pop()
-        used = len(walk) - 1
-        key = (walk[-1], orbit)
-        prev = best.get(key)
-        if prev is not None and prev <= used:
-            continue
-        best[key] = used
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError("walk family too large for branch cover search")
+
+    def visit(walk, orbit, cover):
         known = achieved.get(orbit)
         if known is None or (len(walk), walk) < (len(known), known):
             achieved[orbit] = walk
-        if used >= horizon:
-            continue
-        for v in sorted(successor_choices(R, walk[-1], step), reverse=True):
-            stack.append((walk + (v,), orbit | {v}))
+        return None
+
+    status, _, _ = _orbit_dfs(R, x, eps, horizon, step, budget, visit)
+    if status == "budget":
+        raise BudgetExceededError("walk family too large for branch cover search")
 
     # drop dominated orbits, keep lexicographically least walk per orbit
     pairs = sorted(achieved.items(), key=lambda item: item[1])
@@ -525,10 +557,7 @@ def sym_branch_cover(
     kept.sort(key=lambda item: item[1])
 
     def dense_union(idx: Iterable[int]) -> bool:
-        pts: set[Fraction] = set()
-        for i in idx:
-            pts |= kept[i][0]
-        return eps_dense(R.space, Region1D.from_points(pts), eps)
+        return OrbitCover(R.space, eps, (p for i in idx for p in kept[i][0])).dense()
 
     if not kept or not dense_union(range(len(kept))):
         return SymbolicCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)

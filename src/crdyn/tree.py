@@ -239,12 +239,19 @@ def function_graph_tests(G: FiniteRelation) -> tuple[bool, bool]:
     return all(c <= 1 for c in counts), all(c == 1 for c in counts)
 
 
+def _dot_string(text: str) -> str:
+    """A DOT double-quoted string showing `text` literally."""
+    for raw, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r")):
+        text = text.replace(raw, escaped)
+    return f'"{text}"'
+
+
 def dot_export(tree: TransTree) -> str:
     """Deterministic DOT rendering: one node per (point, level), ranked by level."""
     labels = tree.relation.space.labels
     lines = ["digraph transitivity_tree {", "  rankdir=TB;"]
     for p, l in tree.nodes():
-        lines.append(f'  p{p}_l{l} [label="{labels[p]}"];')
+        lines.append(f"  p{p}_l{l} [label={_dot_string(labels[p])}];")
     for l, lvl in enumerate(tree.levels):
         if not lvl:
             continue

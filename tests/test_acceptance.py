@@ -262,7 +262,7 @@ def test_criterion_08_exhura_certificate_and_search():
             failures.append(f"unexpected dense walk from {F(k, 32)}")
         elif res.certainty is not Certainty.UNKNOWN_AT_HORIZON:
             failures.append("non-find must be reported unknown-at-horizon")
-    _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 300.0, failures)
+    _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 30.0, failures)
 
 
 def test_criterion_09_exxi_statement_separation():

@@ -74,6 +74,49 @@ class TestParseErrors:
         assert code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("tree", "fse1", "--point", "1", "--depth", "-1"),
+        ("mahavier", "fse1", "--depth", "0"),
+        ("mahavier", "fse1", "--depth", "2", "--list", "-1"),
+        ("classify", "ex1", "--point", "1/2", "--eps", "0.5"),
+        ("classify", "ex1", "--point", "1/2", "--eps", "0"),
+        ("classify", "ex1", "--point", "1/2", "--horizon", "-5"),
+        ("transitive", "ex1", "--eps", "1e-3"),
+        ("reach", "dens", "--point", "0", "--steps", "x"),
+        ("discretize", "ex1", "--delta", "-1/4", "-o", "unused.json"),
+        ("tree", "fse1"),
+        (),
+    ])
+    def test_exit_two_with_one_error_line(self, docs, argv):
+        argv = tuple(docs.get(a, a) for a in argv)
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_point_flag_uses_the_strict_grammar(self, docs):
+        code, _, err = run_cli("classify", docs["ex1"], "--point", " 1/2 ")
+        assert code == 2
+        assert err == "error: malformed rational ' 1/2 '; expected an integer or 'p/q'\n"
+
+    def test_range_errors_below_the_argument_layer_exit_two(self, docs, monkeypatch):
+        from crdyn import cli
+
+        def too_deep(*args):
+            raise ValueError("depth out of range")
+
+        monkeypatch.setattr(cli, "build_tree", too_deep)
+        code, _, err = run_cli("tree", docs["fse1"], "--point", "1", "--depth", "1")
+        assert code == 2
+        assert err == "error: depth out of range\n"
+
+    def test_long_walk_listing_needs_no_recursion(self, docs):
+        code, out, _ = run_cli("mahavier", docs["fse1"], "--depth", "2000", "--list", "1")
+        assert code == 0
+        assert len(out.splitlines()[-1].split()) == 2001
+
+
 class TestTransitive:
     def test_pair_sink_vector(self, docs):
         code, out, _ = run_cli("transitive", docs["pair-sink"])

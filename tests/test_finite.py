@@ -210,6 +210,36 @@ class TestMahavier:
         G = rel(["1", "2"], [(0, 0), (0, 1), (1, 0), (1, 1)])
         assert mahavier_count(G, 200) == 2 ** 201
 
+    def test_enumeration_does_not_depend_on_the_recursion_limit(self):
+        G = rel(["1", "2"], [(0, 0), (0, 1), (1, 0), (1, 1)])
+        (walk,) = mahavier_enumerate(G, 5000, limit=1)
+        assert walk.points == (0,) * 5001
+        first = next(walks_from(CYCLE3, 1, 5000))
+        assert first == tuple((1 + k) % 3 for k in range(5001))
+
+    def test_limit_zero_and_dead_ends(self):
+        G = rel(["1", "2", "3"], [(0, 1), (0, 2), (2, 2)])
+        assert mahavier_enumerate(G, 2, limit=0) == []
+        assert [w.points for w in mahavier_enumerate(G, 2)] == [(0, 2, 2), (2, 2, 2)]
+        assert list(walks_from(G, 1, 1)) == []
+        assert list(walks_from(G, 1, 0)) == [(1,)]
+
+
+def recursive_walks(G, start, steps):
+    """Walks by plain recursion, the reference for the iterative enumeration."""
+    if steps == 0:
+        return [(start,)]
+    return [(start,) + rest for nxt in G.successors(start)
+            for rest in recursive_walks(G, nxt, steps - 1)]
+
+
+def test_walks_from_matches_recursion_on_random(rng):
+    for _ in range(100):
+        G = make_random_relation(rng, max_points=4)
+        x = rng.randrange(G.space.size)
+        steps = rng.randint(0, 5)
+        assert list(walks_from(G, x, steps)) == recursive_walks(G, x, steps)
+
 
 class TestDensityPredicates:
     def test_exhaustive_is_equality_with_space(self):

@@ -57,6 +57,19 @@ class TestParsing:
         with pytest.raises(InvalidInstanceError):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ["0.5", "1e-3", "1_000", " 1/2 "])
+    def test_non_rational_strings_rejected(self, text):
+        doc = json.loads(EX1_DOC)
+        doc["relation"]["primitives"][0]["from"] = [text, "1/2"]
+        with pytest.raises(InvalidInstanceError, match="malformed rational"):
+            parse_instance(json.dumps(doc))
+
+    def test_unreduced_rationals_are_read_and_written_reduced(self):
+        doc = json.loads(EX1_DOC)
+        doc["relation"]["primitives"][0]["from"] = ["0", "2/4"]
+        text = serialize_instance(parse_instance(json.dumps(doc)))
+        assert '"2/4"' not in text and '"1/2"' in text
+
     def test_unknown_point_in_pair(self):
         doc = json.loads(FINITE_DOC)
         doc["relation"]["pairs"] = [["1", "zzz"]]

@@ -137,3 +137,21 @@ def test_fraction_text_roundtrip():
         parse_fraction(1.5)
     with pytest.raises(ValueError):
         parse_fraction("1/0")
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "1e-3", "1_000", " 1/2 ", "1/2\n", "+1", "1/-2", "1/2/3", "", "/2", "1/",
+    "\u0661", "inf", "nan", "1 /2",
+])
+def test_parse_fraction_rejects_non_rational_strings(text):
+    with pytest.raises(ValueError):
+        parse_fraction(text)
+
+
+def test_parse_fraction_strict_grammar_accepts_and_reduces():
+    assert parse_fraction("-3/6") == F(-1, 2)
+    assert parse_fraction("12") == 12
+    assert parse_fraction("-0") == 0
+    assert parse_fraction("007/14") == F(1, 2)
+    with pytest.raises(ValueError):
+        parse_fraction(True)

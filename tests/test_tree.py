@@ -151,7 +151,7 @@ class TestFunctionGraphTests:
             assert function_graph_tests(G) == (True, True)
 
 
-DOT_NODE = re.compile(r'^  (p\d+_l\d+) \[label="[^"]*"\];$')
+DOT_NODE = re.compile(r'^  (p\d+_l\d+) \[label="((?:[^"\\]|\\.)*)"\];$')
 DOT_EDGE = re.compile(r"^  (p\d+_l\d+) -> (p\d+_l\d+);$")
 DOT_RANK = re.compile(r"^  \{ rank=same;( p\d+_l\d+;)+ \}$")
 
@@ -201,6 +201,21 @@ class TestDotExport:
             validate_dot(text)
             again = dot_export(build_tree(G, x, tree.depth))
             assert text == again
+
+    def test_labels_with_quotes_and_backslashes_are_escaped(self):
+        labels = ['say "hi"', "back\\slash", "trailing\\", "two\nlines"]
+        G = rel(labels, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        text = dot_export(build_tree(G, 0, 3))
+        declared, edges = validate_dot(text)
+        assert len(declared) == 4 and len(edges) == 3
+        shown = [m.group(2) for m in map(DOT_NODE.match, text.splitlines()) if m]
+        unescaped = [re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), s)
+                     for s in shown]
+        assert unescaped == labels
+
+    def test_ordinary_labels_are_unchanged(self):
+        text = dot_export(build_tree(CYCLE3, 0, 1))
+        assert '  p0_l0 [label="1"];' in text.splitlines()
 
     def test_shared_nodes_are_emitted_once(self):
         # both walks reach point 2 at level 1: one node, two parent edges
