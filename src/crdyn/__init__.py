@@ -15,6 +15,7 @@ from .classify import (
     IllegalPointError,
     Verdict,
     characterization_suite,
+    classify_all,
     classify_point,
     do_transitive,
     membership,

@@ -2,9 +2,10 @@
 
 Two independent routes are provided and cross-tested:
 
-* `classify_point`: polynomial decisions built on the condensation of the
-  relation.  All-walks density reduces to vertex-deletion liveness; some-walk
-  density reduces to a unique-topological-order test over the condensation.
+* `classify_point` / `classify_all`: polynomial decisions built on one
+  condensation of the relation.  Legality is reaching a live component;
+  all-walks density reduces to vertex-deletion liveness; some-walk density
+  reduces to a unique-topological-order test over the condensation.
 * `oracle_classify`: brute-force exploration of (current point, visited set)
   states, for small instances only.
 
@@ -18,6 +19,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterator
+
 from .density import DensityPredicate, Exhaustive
 from .finite import FiniteRelation, Walk, inverse_relation
 
@@ -67,18 +70,15 @@ class ClassificationTag:
 # graph plumbing
 
 
-def _reaches_cycle(G: FiniteRelation, start: int, removed: frozenset = frozenset()) -> bool:
-    """Does some walk from `start` reach a cycle, avoiding `removed` vertices?"""
-    if start in removed:
-        return False
-    color = {}  # 1 = on stack, 2 = done
+def _reaches_cycle(G: FiniteRelation, start: int, allowed: frozenset | None = None) -> bool:
+    """Does some walk from `start` reach a cycle, moving only to `allowed` vertices?"""
+    color = {start: 1}  # 1 = on stack, 2 = done
     stack = [(start, iter(G.successors(start)))]
-    color[start] = 1
     while stack:
         v, it = stack[-1]
         advanced = False
         for w in it:
-            if w in removed:
+            if allowed is not None and w not in allowed:
                 continue
             c = color.get(w)
             if c == 1:
@@ -166,18 +166,14 @@ class Condensation:
         self.live = tuple(live)
 
     def can_reach_live(self) -> tuple[bool, ...]:
-        out = [False] * self.count
-        # dag edges go from later Tarjan components to earlier ones is not
-        # guaranteed; do a fixpoint pass instead (count is tiny).
-        order = list(range(self.count))
-        changed = True
-        while changed:
-            changed = False
-            for c in order:
-                val = self.live[c] or any(out[d] for d in self.dag_succ[c])
-                if val and not out[c]:
-                    out[c] = True
-                    changed = True
+        """Per component: does it reach a live one, i.e. do its points admit an infinite walk?
+
+        Tarjan emits a component only after every component it reaches, so
+        each DAG edge points to a lower index and one ascending pass suffices.
+        """
+        out: list[bool] = []
+        for c in range(self.count):
+            out.append(self.live[c] or any(out[d] for d in self.dag_succ[c]))
         return tuple(out)
 
     def unique_topological_order(self) -> list[int] | None:
@@ -202,42 +198,65 @@ class Condensation:
         return order
 
 
+def _legal(cond: Condensation) -> frozenset:
+    """Legal points: those whose component reaches a live one."""
+    reach_live = cond.can_reach_live()
+    return frozenset(v for v, c in enumerate(cond.scc_of) if reach_live[c])
+
+
 # ---------------------------------------------------------------------------
 # reach sets
 
 
-def reach(G: FiniteRelation, x: int, n: int | None = OMEGA) -> frozenset:
-    """The n-reach {x} u G(x) u ... u G^n(x); n=None gives the stabilized set."""
+def _reach_layers(G: FiniteRelation, x: int) -> Iterator[frozenset]:
+    """Breadth-first layers from x: {x}, then the points first reached at each step."""
     if not 0 <= x < G.space.size:
         raise ValueError("point outside the space")
-    current = frozenset([x])
-    frontier = current
-    steps = 0
-    while True:
-        if n is not None and steps >= n:
-            return current
-        frontier = frozenset(b for a in frontier for b in G.successors(a)) - current
-        if not frontier:
-            return current
-        current |= frontier
-        steps += 1
+    seen = {x}
+    layer = frozenset(seen)
+    while layer:
+        yield layer
+        layer = frozenset(w for v in layer for w in G.successors(v)) - seen
+        seen |= layer
+
+
+def _cumulative(layers: Iterator[frozenset]) -> Iterator[frozenset]:
+    """Running unions of the layers: the n-reach for n = 0, 1, ..."""
+    acc: frozenset = frozenset()
+    for layer in layers:
+        acc |= layer
+        yield acc
+
+
+def reach(G: FiniteRelation, x: int, n: int | None = OMEGA) -> frozenset:
+    """The n-reach {x} u G(x) u ... u G^n(x); n=None gives the stabilized set."""
+    out: set[int] = set()
+    for layer in itertools.islice(_reach_layers(G, x), None if n is None else max(n, 0) + 1):
+        out |= layer
+    return frozenset(out)
 
 
 def reach_chain(G: FiniteRelation, x: int, max_steps: int | None = None) -> list[frozenset]:
     """Cumulative reach sets until stabilization (inclusive of the repeat)."""
     limit = max_steps if max_steps is not None else G.space.size + 1
-    chain = [reach(G, x, 0)]
-    for k in range(1, limit + 1):
-        nxt = reach(G, x, k)
-        chain.append(nxt)
-        if nxt == chain[-2]:
-            break
+    chain = list(itertools.islice(_cumulative(_reach_layers(G, x)), max(limit, 0) + 1))
+    if len(chain) <= limit:
+        chain.append(chain[-1])  # the step that adds nothing
     return chain
+
+
+def reach_grade(G: FiniteRelation, x: int, dense: DensityPredicate) -> int | None:
+    """Least n >= 1 with a dense n-reach, or None when even the omega-reach is not dense."""
+    for n, current in enumerate(_cumulative(_reach_layers(G, x))):
+        if n and dense.dense(current):
+            return n
+    # the stabilized set is the reach at every later step
+    return n + 1 if dense.dense(current) else None
 
 
 def orbit_union(G: FiniteRelation, x: int) -> frozenset:
     """Union of all infinite-trajectory orbits from x: reachable legal points."""
-    return reach(G, x) & legal_by_cycle_reach(G)
+    return reach(G, x) & _legal(Condensation(G))
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +266,25 @@ def orbit_union(G: FiniteRelation, x: int) -> frozenset:
 def _trans1_exhaustive(G: FiniteRelation, x: int) -> bool:
     # Every infinite walk from x must visit every other vertex: deleting any
     # v != x must leave x without a reachable cycle.
+    everything = G.space.all_points()
     return all(
-        not _reaches_cycle(G, x, removed=frozenset([v]))
+        not _reaches_cycle(G, x, everything - {v})
         for v in range(G.space.size)
         if v != x
     )
 
 
-def _trans2_exhaustive(G: FiniteRelation, x: int, cond: Condensation) -> bool:
+def _dense_chain_source(cond: Condensation) -> int | None:
+    """The component of the type-2 points under the exhaustive predicate, or None.
+
+    Some walk visits every point exactly when the condensation is one chain
+    (its topological order is unique, so consecutive components are adjacent)
+    that ends in a live component; those walks start in its first component.
+    """
     order = cond.unique_topological_order()
-    if order is None:
-        return False
-    if order[0] != cond.scc_of[x]:
-        return False
-    for c, d in zip(order, order[1:]):
-        if d not in cond.dag_succ[c]:
-            return False
-    return cond.live[order[-1]]
+    if order is None or not cond.live[order[-1]]:
+        return None
+    return order[0]
 
 
 def _trans2_bounded(
@@ -313,30 +334,6 @@ def _trans1_bounded(
     True means every infinite walk is dense (no refuting lasso exists);
     False means a refuting lasso was found; None means budget exhausted.
     """
-
-    def cycle_within(v: int, allowed: frozenset) -> bool:
-        color = {}
-        stack = [(v, iter(G.successors(v)))]
-        color[v] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in allowed:
-                    continue
-                c = color.get(w)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[w] = 1
-                    stack.append((w, iter(G.successors(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                stack.pop()
-        return False
-
     seen_states: set[tuple[int, frozenset]] = set()
     work: list[tuple[int, frozenset]] = [(x, frozenset([x]))]
     while work:
@@ -348,11 +345,48 @@ def _trans1_bounded(
         seen_states.add((v, S))
         if dense.dense(S):
             continue  # extensions only grow S, density is monotone
-        if cycle_within(v, S):
+        if _reaches_cycle(G, v, S):
             return False
         for w in G.successors(v):
             work.append((w, S | {w}))
     return True
+
+
+def _tagger(
+    G: FiniteRelation, dense: DensityPredicate | None, search_budget: int
+) -> Callable[[int], ClassificationTag]:
+    """One analysis of G (its condensation, legal points and, under the
+    exhaustive predicate, its type-2 component) and the per-point tagging."""
+    if dense is None:
+        dense = Exhaustive(G.space.size)
+    cond = Condensation(G)
+    legal = _legal(cond)
+    exhaustive = isinstance(dense, Exhaustive)
+    source = _dense_chain_source(cond) if exhaustive else None
+
+    def tag(x: int) -> ClassificationTag:
+        if x not in legal:
+            return ClassificationTag(Verdict.ILLEGAL)
+        if not dense.dense(reach(G, x) & legal):
+            return ClassificationTag(Verdict.INTRANSITIVE)
+        if exhaustive:
+            t2: bool | None = cond.scc_of[x] == source
+            t1: bool | None = t2 and _trans1_exhaustive(G, x)
+        else:
+            t2 = _trans2_bounded(G, x, dense, cond, search_budget)
+            t1 = _trans1_bounded(G, x, dense, search_budget) if t2 else (False if t2 is False else None)
+        unknown = {"certainty": Certainty.UNKNOWN_AT_HORIZON, "horizon": search_budget}
+        if t1:
+            return ClassificationTag(Verdict.TRANS1)
+        if t2:
+            return ClassificationTag(Verdict.TRANS2, **(unknown if t1 is None else {}))
+        if t2 is None:
+            return ClassificationTag(Verdict.TRANS3, **unknown)
+        grade = reach_grade(G, x, dense)
+        assert grade is not None, "reach stabilizes on finite spaces, so a dense omega-reach is dense at finite depth"
+        return ClassificationTag(Verdict.TRANS3, reach_grade=grade)
+
+    return tag
 
 
 def classify_point(
@@ -367,59 +401,19 @@ def classify_point(
     Under an eps-net predicate the trans1/trans2 decisions are bounded searches
     and the tag may come back UNKNOWN_AT_HORIZON.
     """
-    if dense is None:
-        dense = Exhaustive(G.space.size)
     if not 0 <= x < G.space.size:
         raise ValueError("point outside the space")
-    legal = legal_by_cycle_reach(G)
-    if x not in legal:
-        return ClassificationTag(Verdict.ILLEGAL)
-    union = reach(G, x) & legal
-    if not dense.dense(union):
-        return ClassificationTag(Verdict.INTRANSITIVE)
-
-    cond = Condensation(G)
-    exhaustive = isinstance(dense, Exhaustive)
-    if exhaustive:
-        t2: bool | None = _trans2_exhaustive(G, x, cond)
-        t1: bool | None = _trans1_exhaustive(G, x) if t2 else False
-    else:
-        t2 = _trans2_bounded(G, x, dense, cond, search_budget)
-        t1 = _trans1_bounded(G, x, dense, search_budget) if t2 else (False if t2 is False else None)
-
-    if t1:
-        return ClassificationTag(Verdict.TRANS1)
-    if t2:
-        if t1 is None:
-            return ClassificationTag(
-                Verdict.TRANS2,
-                certainty=Certainty.UNKNOWN_AT_HORIZON,
-                horizon=search_budget,
-            )
-        return ClassificationTag(Verdict.TRANS2)
-    if t2 is None:
-        return ClassificationTag(
-            Verdict.TRANS3,
-            certainty=Certainty.UNKNOWN_AT_HORIZON,
-            horizon=search_budget,
-        )
-    grade = reach_grade(G, x, dense)
-    assert grade is not None, "reach stabilizes on finite spaces, so a dense omega-reach is dense at finite depth"
-    return ClassificationTag(Verdict.TRANS3, reach_grade=grade)
+    return _tagger(G, dense, search_budget)(x)
 
 
-def reach_grade(G: FiniteRelation, x: int, dense: DensityPredicate) -> int | None:
-    """Least n >= 1 with a dense n-reach, or None when even the omega-reach is not dense."""
-    prev = reach(G, x, 0)
-    n = 0
-    while True:
-        n += 1
-        cur = reach(G, x, n)
-        if dense.dense(cur):
-            return n
-        if cur == prev:
-            return None
-        prev = cur
+def classify_all(
+    G: FiniteRelation,
+    dense: DensityPredicate | None = None,
+    search_budget: int = 20000,
+) -> list[ClassificationTag]:
+    """classify_point for every point in index order, from one analysis of G."""
+    tag = _tagger(G, dense, search_budget)
+    return [tag(x) for x in range(G.space.size)]
 
 
 def oracle_classify(
@@ -510,6 +504,24 @@ def oracle_classify(
     return ClassificationTag(Verdict.TRANS3, reach_grade=grade)
 
 
+_RANK = {
+    Verdict.TRANS1: 1,
+    Verdict.TRANS2: 2,
+    Verdict.TRANS3: 3,
+    Verdict.INTRANSITIVE: 4,
+    Verdict.ILLEGAL: 5,
+}
+
+
+def _member(tag: ClassificationTag, level: int) -> tuple[bool | None, Certainty]:
+    rank = _RANK[tag.verdict]
+    if rank <= level:
+        return True, Certainty.CERTIFIED
+    if tag.certainty is Certainty.UNKNOWN_AT_HORIZON and level < rank <= 3:
+        return None, Certainty.UNKNOWN_AT_HORIZON
+    return False, Certainty.REFUTED
+
+
 def membership(
     G: FiniteRelation,
     x: int,
@@ -518,19 +530,7 @@ def membership(
     search_budget: int = 20000,
 ) -> tuple[bool | None, Certainty]:
     """Is x a type-`level` transitive point?  (None, UNKNOWN...) if undecided."""
-    tag = classify_point(G, x, dense, search_budget)
-    rank = {
-        Verdict.TRANS1: 1,
-        Verdict.TRANS2: 2,
-        Verdict.TRANS3: 3,
-        Verdict.INTRANSITIVE: 4,
-        Verdict.ILLEGAL: 5,
-    }[tag.verdict]
-    if rank <= level:
-        return True, Certainty.CERTIFIED
-    if tag.certainty is Certainty.UNKNOWN_AT_HORIZON and level < rank <= 3:
-        return None, Certainty.UNKNOWN_AT_HORIZON
-    return False, Certainty.REFUTED
+    return _member(classify_point(G, x, dense, search_budget), level)
 
 
 def trans_set(
@@ -539,12 +539,9 @@ def trans_set(
     dense: DensityPredicate | None = None,
 ) -> frozenset:
     """All points whose type-`level` membership is certified true."""
-    out = set()
-    for x in range(G.space.size):
-        ok, _ = membership(G, x, level, dense)
-        if ok:
-            out.add(x)
-    return frozenset(out)
+    return frozenset(
+        x for x, tag in enumerate(classify_all(G, dense)) if _member(tag, level)[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +711,9 @@ def minimal_dense_branch_cover(
     """
     if dense is None:
         dense = Exhaustive(G.space.size)
-    if x not in legal_by_cycle_reach(G):
-        raise IllegalPointError(f"point {x} is illegal; branch covers need a legal start")
     cond = Condensation(G)
+    if x not in _legal(cond):
+        raise IllegalPointError(f"point {x} is illegal; branch covers need a legal start")
     start = cond.scc_of[x]
 
     paths: list[list[int]] = []
@@ -798,14 +795,10 @@ def do_transitive(
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2, or 3")
-    saw_unknown = False
-    for x in range(G.space.size):
-        ok, cert = membership(G, x, k, dense)
-        if ok:
-            return True
-        if ok is None:
-            saw_unknown = True
-    return None if saw_unknown else False
+    answers = {_member(tag, k)[0] for tag in classify_all(G, dense)}
+    if True in answers:
+        return True
+    return None if None in answers else False
 
 
 def _positive_reach(G: FiniteRelation, u: int) -> frozenset:

@@ -19,6 +19,7 @@ from .classify import (
     BudgetExceededError,
     IllegalPointError,
     characterization_suite,
+    classify_all,
     classify_point,
     reach_chain,
     system_transitive,
@@ -115,20 +116,21 @@ def _cmd_classify(args) -> int:
     relation, density = _load(args.file)
     eps = args.eps or DEFAULT_EPS
     horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
-    print(_header("classify", file=args.file, eps=eps, horizon=horizon))
+    header = _header("classify", file=args.file, eps=eps, horizon=horizon)
     if isinstance(relation, FiniteRelation):
         if density is not None:
             predicate = density.with_eps(eps) if args.eps else density
         else:
             predicate = Exhaustive(relation.space.size)
-        points = (
-            [_finite_point(relation, args.point)]
-            if args.point is not None
-            else range(relation.space.size)
-        )
+        budget = max(horizon * 100, 20000)
+        if args.point is not None:
+            x = _finite_point(relation, args.point)
+            rows = [(x, classify_point(relation, x, predicate, budget))]
+        else:
+            rows = enumerate(classify_all(relation, predicate, budget))
+        print(header)
         print(f"{'point':>10}  {'verdict':<13} {'grade':<6} certainty")
-        for x in points:
-            tag = classify_point(relation, x, predicate, search_budget=max(horizon * 100, 20000))
+        for x, tag in rows:
             grade = tag.reach_grade if tag.reach_grade is not None else "-"
             print(
                 f"{relation.space.labels[x]:>10}  {tag.verdict.value:<13} "
@@ -140,6 +142,7 @@ def _cmd_classify(args) -> int:
     x = _fraction_arg(args.point)
     if not relation.space.contains_point(x):
         raise _UsageError(f"{args.point} is not a point of the space")
+    print(header)
     rows = _symbolic_point_rows(relation, x, eps, horizon)
     print(f"{'claim':<22} {'status':<20} detail")
     for claim, status, detail in rows:

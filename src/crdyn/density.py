@@ -10,10 +10,9 @@ enlarging the subset never turns a dense verdict false.  Two kinds exist:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Protocol, Sequence
 
-from .region import Piece, Region1D, Space1D, eps_dense
+from .region import Piece, Region1D, Space1D, _as_fraction, eps_dense
 
 
 class DensityPredicate(Protocol):
@@ -45,7 +44,7 @@ class EpsNet:
     def __init__(self, space: Space1D, extents: Sequence[Piece], eps):
         self.space = space
         self.extents = tuple(extents)
-        self.eps = Fraction(eps)
+        self.eps = _as_fraction(eps)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         region = space.region()

@@ -104,8 +104,8 @@ def _parse_finite(space_doc: dict, rel_doc: dict) -> FiniteRelation:
         raise InvalidInstanceError("relation.pairs: expected a list")
     edges = []
     for i, pair in enumerate(pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InvalidInstanceError(f"relation.pairs[{i}]: expected [source, target]")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(p, str) for p in pair):
+            raise InvalidInstanceError(f"relation.pairs[{i}]: expected [source, target] names")
         a, b = pair
         if a not in space.index or b not in space.index:
             raise InvalidInstanceError(f"relation.pairs[{i}]: unknown point in {pair}")
@@ -113,18 +113,22 @@ def _parse_finite(space_doc: dict, rel_doc: dict) -> FiniteRelation:
     return FiniteRelation(space, edges)
 
 
-def _parse_symbolic(space_doc: dict, rel_doc: dict) -> SymbolicRelation:
-    _reject_unknown(space_doc, {"kind", "intervals", "isolated"}, "space")
+def _parse_space(space_doc: dict, where: str) -> Space1D:
     intervals = space_doc.get("intervals", [])
     isolated = space_doc.get("isolated", [])
     if not isinstance(intervals, list) or not isinstance(isolated, list):
-        raise InvalidInstanceError("space.intervals/isolated: expected lists")
-    iv = [_pair(p, f"space.intervals[{i}]") for i, p in enumerate(intervals)]
-    iso = [_rational(p, f"space.isolated[{i}]") for i, p in enumerate(isolated)]
+        raise InvalidInstanceError(f"{where}.intervals/isolated: expected lists")
+    iv = [_pair(p, f"{where}.intervals[{i}]") for i, p in enumerate(intervals)]
+    iso = [_rational(p, f"{where}.isolated[{i}]") for i, p in enumerate(isolated)]
     try:
-        space = Space1D(intervals=iv, isolated=iso)
+        return Space1D(intervals=iv, isolated=iso)
     except ValueError as exc:
-        raise InvalidInstanceError(f"space: {exc}") from exc
+        raise InvalidInstanceError(f"{where}: {exc}") from exc
+
+
+def _parse_symbolic(space_doc: dict, rel_doc: dict) -> SymbolicRelation:
+    _reject_unknown(space_doc, {"kind", "intervals", "isolated"}, "space")
+    space = _parse_space(space_doc, "space")
     _reject_unknown(rel_doc, {"kind", "primitives"}, "relation")
     if rel_doc.get("kind") != "primitives":
         raise InvalidInstanceError("relation.kind: expected 'primitives' for an interval space")
@@ -168,16 +172,17 @@ def _parse_density(doc, relation) -> EpsNet:
     if not isinstance(space_doc, dict):
         raise InvalidInstanceError("density.space: expected an object")
     _reject_unknown(space_doc, {"intervals", "isolated"}, "density.space")
-    iv = [_pair(p, "density.space.intervals") for p in space_doc.get("intervals", [])]
-    iso = [_rational(p, "density.space.isolated") for p in space_doc.get("isolated", [])]
-    space = Space1D(intervals=iv, isolated=iso)
+    space = _parse_space(space_doc, "density.space")
     extents_doc = doc.get("extents")
     if not isinstance(extents_doc, list):
         raise InvalidInstanceError("density.extents: expected a list")
     if not isinstance(relation, FiniteRelation) or len(extents_doc) != relation.space.size:
         raise InvalidInstanceError("density.extents: must list one extent per point")
     extents = [_pair(p, f"density.extents[{i}]") for i, p in enumerate(extents_doc)]
-    return EpsNet(space, extents, eps)
+    try:
+        return EpsNet(space, extents, eps)
+    except ValueError as exc:
+        raise InvalidInstanceError(f"density: {exc}") from exc
 
 
 def instance_to_dict(relation, density: EpsNet | None = None) -> dict:

@@ -20,7 +20,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -9,9 +9,10 @@ at a finite horizon the answer says so instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classify import BudgetExceededError, Certainty
 from .density import EpsNet
@@ -170,41 +171,46 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
     return Region1D(out)
 
 
+def _frontier_chase(R: SymbolicRelation, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
+    """Yield (acc, frontier) after each step that grows the cumulative reach of start.
+
+    Only the frontier (closure of the newly added part) is imaged each step,
+    which is exact because images distribute over unions.  The chase ends at
+    the first image that adds nothing; each step costs one sym_image and,
+    when it grows, one region_difference_closure.
+    """
+    acc = frontier = start
+    while True:
+        nxt = acc.union(sym_image(R, frontier))
+        if nxt == acc:
+            return
+        frontier = region_difference_closure(nxt, acc)
+        acc = nxt
+        yield acc, frontier
+
+
 def sym_reach(
     R: SymbolicRelation, start: Region1D, max_iter: int
 ) -> tuple[Region1D, bool]:
-    """Cumulative reach start u G(start) u ...; stabilized reports exactness.
-
-    Only the frontier (closure of the newly added part) is imaged each step,
-    which is exact because images distribute over unions.
-    """
+    """Cumulative reach start u G(start) u ...; stabilized reports exactness."""
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    acc = start
-    frontier = start
-    for _ in range(max_iter):
-        img = sym_image(R, frontier)
-        nxt = acc.union(img)
-        if nxt == acc:
-            return acc, True
-        frontier = region_difference_closure(nxt, acc)
-        acc = nxt
+    acc = frontier = start
+    steps = 0
+    for steps, (acc, frontier) in enumerate(itertools.islice(_frontier_chase(R, start), max_iter), 1):
+        pass
+    if steps < max_iter:
+        return acc, True
     # one more image to detect stabilization exactly at the boundary
     return acc, acc.union(sym_image(R, frontier)) == acc
 
 
 def sym_reach_chain(R: SymbolicRelation, start: Region1D, max_iter: int) -> list[Region1D]:
     """Cumulative regions [R_0, R_1, ...] up to max_iter or stabilization."""
-    acc = start
-    frontier = start
-    chain = [acc]
-    for _ in range(max_iter):
-        nxt = acc.union(sym_image(R, frontier))
-        chain.append(nxt)
-        if nxt == acc:
-            break
-        frontier = region_difference_closure(nxt, acc)
-        acc = nxt
+    chain = [start]
+    chain += (acc for acc, _ in itertools.islice(_frontier_chase(R, start), max(max_iter, 0)))
+    if len(chain) <= max_iter:
+        chain.append(chain[-1])  # the step that adds nothing
     return chain
 
 
@@ -526,9 +532,7 @@ def sym_branch_cover(
     choice family; the minimum is exact over that family, hence a certified
     upper bound for the relation and exact at this horizon and resolution.
     """
-    x = _as_fraction(x)
-    eps = _as_fraction(eps)
-    step = _as_fraction(choice_step) if choice_step is not None else eps / 2
+    x, eps, step = _search_args(R, x, eps, choice_step)
     # every visited state contributes its orbit; a revisit with fewer steps
     # used gets re-explored, so walks achieving any maximal orbit survive the
     # pruning (a pruned prefix could be spliced with an earlier, shorter one)
@@ -561,8 +565,6 @@ def sym_branch_cover(
 
     if not kept or not dense_union(range(len(kept))):
         return SymbolicCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
-    import itertools
-
     for k in range(1, len(kept) + 1):
         for combo in itertools.combinations(range(len(kept)), k):
             if dense_union(combo):
@@ -600,14 +602,11 @@ def grid_transitivity_check(
     max_steps = 0
     for ui, (ulo, uhi) in enumerate(cells):
         pending = set(range(len(cells)))
-        acc = Region1D.interval(ulo, uhi)
-        frontier = acc
+        start = Region1D.interval(ulo, uhi)
+        steps = 0
         if positive_only:
-            img = sym_image(R, frontier)
-            acc, frontier = img, img
+            start = sym_image(R, start)
             steps = 1
-        else:
-            steps = 0
 
         def mark(region: Region1D):
             done = []
@@ -620,16 +619,14 @@ def grid_transitivity_check(
                     done.append(vi)
             pending.difference_update(done)
 
-        mark(acc)
-        while pending and steps < horizon:
-            img = sym_image(R, frontier)
-            nxt = acc.union(img)
-            if nxt == acc:
-                break  # stabilized: no new cell can ever be met
-            frontier = region_difference_closure(nxt, acc)
-            acc = nxt
-            steps += 1
-            mark(frontier)
+        mark(start)
+        if pending:
+            # a chase that stops early has stabilized: no new cell can be met
+            chase = itertools.islice(_frontier_chase(R, start), max(horizon - steps, 0))
+            for steps, (_, frontier) in enumerate(chase, steps + 1):
+                mark(frontier)
+                if not pending:
+                    break
         if pending:
             misses.extend((ui, vi) for vi in sorted(pending))
         max_steps = max(max_steps, steps)
@@ -645,19 +642,8 @@ def forward_union(
     R: SymbolicRelation, U: Region1D, horizon: int, include_start: bool
 ) -> Region1D:
     """Union of G^k(U): k from 0 (include_start) or 1, up to the horizon."""
-    if include_start:
-        acc = U
-        frontier = U
-        start = 0
-    else:
-        acc = sym_image(R, U)
-        frontier = acc
-        start = 1
-    for _ in range(start, horizon):
-        img = sym_image(R, frontier)
-        nxt = acc.union(img)
-        if nxt == acc:
-            break
-        frontier = region_difference_closure(nxt, acc)
-        acc = nxt
+    acc = U if include_start else sym_image(R, U)
+    steps = horizon if include_start else horizon - 1
+    for acc, _ in itertools.islice(_frontier_chase(R, acc), max(steps, 0)):
+        pass
     return acc

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 from .classify import (
     Condensation,
+    _dense_chain_source,
+    _legal,
     _trans1_bounded,
     _trans1_exhaustive,
     _trans2_bounded,
-    _trans2_exhaustive,
-    legal_by_cycle_reach,
     reach,
 )
 from .density import DensityPredicate, Exhaustive
@@ -97,67 +97,37 @@ class BranchSummary:
     intransitive: bool
 
 
-def _finite_branch_stats(G: FiniteRelation, x: int) -> tuple[int | None, int | None]:
+def _finite_branch_stats(G: FiniteRelation, x: int, cond: Condensation) -> tuple[int | None, int | None]:
     """(number, max length) of walks from x ending at successor-free points."""
-    reachable = reach(G, x)
-    dead = frozenset(v for v in reachable if not G.successors(v))
-    if not dead:
+    # components from which some walk reaches a successor-free point; Tarjan
+    # order puts every successor component first
+    ends: list[bool] = []
+    for c in range(cond.count):
+        dead = not cond.live[c] and not cond.dag_succ[c]
+        ends.append(dead or any(ends[d] for d in cond.dag_succ[c]))
+    relevant = frozenset(v for v in reach(G, x) if ends[cond.scc_of[v]])
+    if not relevant:
         return 0, None
-    # vertices lying on some walk from x to a dead end
-    back: set[int] = set(dead)
-    changed = True
-    while changed:
-        changed = False
-        for v in reachable:
-            if v in back:
-                continue
-            if any(w in back for w in G.successors(v)):
-                back.add(v)
-                changed = True
-    relevant = back & set(reachable)
-    # a cycle among relevant vertices makes the walk family unbounded
-    order: list[int] = []
-    state: dict[int, int] = {}
-    for start in sorted(relevant):
-        if start in state:
-            continue
-        stack = [(start, iter([w for w in G.successors(start) if w in relevant]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                s = state.get(w)
-                if s == 1:
-                    return None, None
-                if s is None:
-                    state[w] = 1
-                    stack.append((w, iter([z for z in G.successors(w) if z in relevant])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                order.append(v)
-                stack.pop()
+    # a cycle on the way to a dead end makes the walk family unbounded
+    if any(cond.live[cond.scc_of[v]] for v in relevant):
+        return None, None
     # DAG: count walks and longest walk from x by dynamic programming
-    counts = {v: (1 if v in dead else 0) for v in relevant}
-    longest = {v: 0 for v in relevant}
-    for v in order:  # reverse topological: successors are finished first
-        for w in G.successors(v):
-            if w in relevant:
-                counts[v] += counts[w]
-                longest[v] = max(longest[v], longest[w] + 1)
-    if x not in relevant:
-        return 0, None
+    counts: dict[int, int] = {}
+    longest: dict[int, int] = {}
+    for v in sorted(relevant, key=cond.scc_of.__getitem__):  # successors first
+        succ = [w for w in G.successors(v) if w in relevant]
+        counts[v] = sum(counts[w] for w in succ) if succ else 1
+        longest[v] = max((longest[w] + 1 for w in succ), default=0)
     return counts[x], longest[x]
 
 
 def tree_height(G: FiniteRelation, x: int) -> int | None:
     """Height of the full tree: None when infinite (legal root)."""
-    if x in legal_by_cycle_reach(G):
+    cond = Condensation(G)
+    if x in _legal(cond):
         return None
-    _, longest = _finite_branch_stats(G, x)
-    return longest if longest is not None else 0
+    _, longest = _finite_branch_stats(G, x, cond)
+    return longest or 0
 
 
 def branch_summary(
@@ -174,20 +144,19 @@ def branch_summary(
     """
     if dense is None:
         dense = Exhaustive(G.space.size)
-    legal_pts = legal_by_cycle_reach(G)
+    cond = Condensation(G)
+    legal_pts = _legal(cond)
     is_legal = x in legal_pts
     cover = reach(G, x) & legal_pts
-    count, max_len = _finite_branch_stats(G, x)
+    count, max_len = _finite_branch_stats(G, x, cond)
     cover_dense = bool(cover) and dense.dense(cover)
     if not is_legal:
         some_dense: bool | None = False
         all_dense: bool | None = False
     elif isinstance(dense, Exhaustive):
-        cond = Condensation(G)
-        some_dense = _trans2_exhaustive(G, x, cond)
+        some_dense = cond.scc_of[x] == _dense_chain_source(cond)
         all_dense = some_dense and _trans1_exhaustive(G, x)
     else:
-        cond = Condensation(G)
         some_dense = _trans2_bounded(G, x, dense, cond, search_budget)
         if some_dense is False:
             all_dense = False
@@ -200,7 +169,7 @@ def branch_summary(
         is_legal=is_legal,
         finite_branch_count=count,
         max_finite_branch_length=max_len,
-        height=tree_height(G, x),
+        height=None if is_legal else (max_len or 0),
         infinite_branch_cover=cover,
         all_infinite_branches_dense=all_dense,
         exists_infinite_dense_branch=some_dense,
@@ -216,7 +185,7 @@ def unique_branch(G: FiniteRelation, x: int) -> bool:
 
 def unique_infinite_branch(G: FiniteRelation, x: int) -> bool:
     """|infinite branches of T(x)| = 1, decided on the legal part of the reach set."""
-    legal_pts = legal_by_cycle_reach(G)
+    legal_pts = _legal(Condensation(G))
     if x not in legal_pts:
         return False
     seen = {x}

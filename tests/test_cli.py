@@ -96,9 +96,21 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_point_flag_uses_the_strict_grammar(self, docs):
-        code, _, err = run_cli("classify", docs["ex1"], "--point", " 1/2 ")
+        code, out, err = run_cli("classify", docs["ex1"], "--point", " 1/2 ")
         assert code == 2
+        assert out == ""
         assert err == "error: malformed rational ' 1/2 '; expected an integer or 'p/q'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "dens", "--point", "zzz"),
+        ("classify", "ex1"),
+        ("classify", "ex1", "--point", "5"),
+    ])
+    def test_classify_checks_the_point_before_the_report_header(self, docs, argv):
+        code, out, err = run_cli(*(docs.get(a, a) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_range_errors_below_the_argument_layer_exit_two(self, docs, monkeypatch):
         from crdyn import cli

@@ -1,8 +1,13 @@
 import json
+import random
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from crdyn import gallery
+from crdyn.cli import main
 from crdyn.finite import FiniteRelation, InvalidInstanceError
 from crdyn.io import parse_document, parse_instance, serialize_instance
 from crdyn.symbolic import Segment, SinglePoint, SymbolicRelation
@@ -129,3 +134,113 @@ class TestRoundTrip:
         finite, pred = discretize(rel, F(1, 4))
         text = serialize_instance(finite, pred)
         assert parse_instance(text) == finite
+
+
+def _box_document() -> dict:
+    finite, pred = discretize(parse_instance(EX1_DOC), F(1, 4))
+    return json.loads(serialize_instance(finite, pred))
+
+
+class TestDensityBlock:
+    @pytest.mark.parametrize("space", [
+        {"intervals": None},
+        {"isolated": "2"},
+        {"intervals": []},
+        {"intervals": [[1, 0]]},
+        {"intervals": [[0, 1], ["1/2", 2]]},
+        {"intervals": [["0.5", 1]]},
+    ])
+    def test_malformed_space_is_a_parse_error(self, space):
+        doc = _box_document()
+        doc["density"]["space"] = space
+        with pytest.raises(InvalidInstanceError, match="density.space"):
+            parse_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value", [
+        ("eps", 0),
+        ("eps", "-1/4"),
+        ("extents", [[0, "1/4"], ["1/4", "1/2"], ["1/2", "3/4"], ["3/4", 2]]),
+    ])
+    def test_invalid_eps_net_is_a_parse_error(self, field, value):
+        doc = _box_document()
+        doc["density"][field] = value
+        with pytest.raises(InvalidInstanceError, match="density"):
+            parse_document(json.dumps(doc))
+
+    def test_classify_reports_a_bad_density_block_in_one_line(self, tmp_path, capsys):
+        doc = _box_document()
+        doc["density"]["space"] = {"intervals": None}
+        path = tmp_path / "bad-density.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: density.space") and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# seeded mutation fuzzing
+
+_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+_ODD_VALUES = [
+    None, True, False, 0, -1, 1, 2**70, 0.5, "", "x", "1/2", "-3/4", "1/0", "0.5",
+    [], {}, [0], [[0, 1]], [1, 0], ["a", "b"], {"kind": "finite"}, {"intervals": None},
+]
+
+
+def _seed_documents() -> list[str]:
+    texts = [p.read_text(encoding="utf-8") for p in sorted(_DATA.glob("*.json"))
+             if p.name != "manifest.json"]
+    return texts + [gallery.build(name).document() for name in gallery.names()]
+
+
+def _nodes(obj, path=()):
+    yield path, obj
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(doc, rng: random.Random):
+    """One structural edit: replace a value, drop a key, or swap, cut or repeat list items."""
+    path, node = rng.choice(list(_nodes(doc)))
+    op = rng.randrange(5)
+    if op == 0 or not path:
+        value = json.loads(json.dumps(rng.choice(_ODD_VALUES)))
+        if not path:
+            return value
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    elif op == 1 and isinstance(node, dict) and node:
+        del node[rng.choice(list(node))]
+    elif op == 2 and isinstance(node, list) and len(node) >= 2:
+        i, j = rng.sample(range(len(node)), 2)
+        node[i], node[j] = node[j], node[i]
+    elif op == 3 and isinstance(node, list) and node:
+        del node[rng.randrange(len(node)):]
+    elif op == 4 and isinstance(node, list) and node:
+        node.append(json.loads(json.dumps(rng.choice(node))))
+    return doc
+
+
+def test_mutated_documents_parse_or_raise_invalid_instance():
+    rng = random.Random(20261018)
+    seeds = _seed_documents()
+    start = time.perf_counter()
+    for i in range(2500):
+        text = rng.choice(seeds)
+        if i % 10 == 0:
+            cut = rng.randrange(len(text))
+            mutated = text[:cut] + rng.choice(["", "}", "]", ",", '"', "0"]) + text[cut + 1:]
+        else:
+            doc = json.loads(text)
+            for _ in range(rng.randint(1, 3)):
+                doc = _mutate(doc, rng)
+            mutated = json.dumps(doc)
+        try:
+            parse_document(mutated)
+        except InvalidInstanceError:
+            pass
+    assert time.perf_counter() - start < 10

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from crdyn.density import EpsNet
 from crdyn.region import (
     Region1D,
     Space1D,
@@ -11,6 +12,7 @@ from crdyn.region import (
     grid_cells,
     parse_fraction,
 )
+from crdyn.symbolic import Segment
 
 UNIT = Space1D(intervals=[(0, 1)])
 
@@ -155,3 +157,23 @@ def test_parse_fraction_strict_grammar_accepts_and_reduces():
     assert parse_fraction("007/14") == F(1, 2)
     with pytest.raises(ValueError):
         parse_fraction(True)
+
+
+@pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1e-3", "1_000"])
+def test_library_constructors_use_the_strict_grammar(text):
+    with pytest.raises(ValueError, match="malformed rational"):
+        Segment(text, 0, 1, "1/2")
+    with pytest.raises(ValueError, match="malformed rational"):
+        Region1D.point(text)
+    with pytest.raises(ValueError, match="malformed rational"):
+        Space1D(intervals=[(0, text)])
+    assert Segment("1/2", 0, 1, "2/4") == Segment(F(1, 2), 0, 1, F(1, 2))
+
+
+def test_eps_net_takes_an_exact_eps():
+    sp = Space1D(intervals=[(0, 1)])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        EpsNet(sp, [(0, 1)], 0.1)
+    with pytest.raises(ValueError, match="malformed rational"):
+        EpsNet(sp, [(0, 1)], "0.1")
+    assert EpsNet(sp, [(0, 1)], "1/10").eps == F(1, 10)

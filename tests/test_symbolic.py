@@ -278,6 +278,11 @@ class TestBranchCover:
         res = sym_branch_cover(CROSS_MID, F(1, 2), F(1, 4), 30)
         assert res.size == 1
 
+    def test_start_outside_the_space_is_rejected(self):
+        # the same argument checks as the walk and loop searches
+        with pytest.raises(ValueError, match="not a point of the space"):
+            sym_branch_cover(CROSS_MID, 5, F(1, 4), 3)
+
 
 class TestGridTransitivity:
     def test_cross_mid_is_grid_transitive(self):
