@@ -49,6 +49,8 @@ class EpsNet:
             raise ValueError("eps must be positive")
         region = space.region()
         for lo, hi in self.extents:
+            if lo > hi:
+                raise ValueError(f"extent bounds out of order: [{lo},{hi}]")
             if not (region.contains_point(lo) and region.contains_point(hi)):
                 raise ValueError(f"extent [{lo},{hi}] leaves the space")
 

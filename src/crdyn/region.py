@@ -9,14 +9,21 @@ from __future__ import annotations
 import bisect
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Piece = tuple[Fraction, Fraction]  # closed interval, lo <= hi; lo == hi is a point
+
+# canonical pieces are sorted by both ends, so bisect can key on either
+_LO = itemgetter(0)
+_HI = itemgetter(1)
 
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"booleans are not rationals: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -49,6 +56,13 @@ class Region1D:
             hi = _as_fraction(hi)
             norm.append((lo, hi))
         object.__setattr__(self, "pieces", _canonical(norm))
+
+    @classmethod
+    def _wrap(cls, pieces: tuple[Piece, ...]) -> "Region1D":
+        """A region over pieces that are already canonical; no checks, no copy."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "pieces", pieces)
+        return new
 
     def __setattr__(self, *a):
         raise AttributeError("Region1D is immutable")
@@ -88,23 +102,54 @@ class Region1D:
         return not self.pieces
 
     def union(self, other: "Region1D") -> "Region1D":
-        return Region1D(self.pieces + other.pieces)
+        """Splice each piece of the smaller region into the larger one.
+
+        A piece replaces the run of pieces it overlaps or touches, found by
+        two bisects that start where the previous piece's run ended.
+        """
+        small, large = sorted((self.pieces, other.pieces), key=len)
+        out = list(large)
+        i = 0
+        for lo, hi in small:
+            i = bisect.bisect_left(out, lo, i, key=_HI)
+            j = bisect.bisect_right(out, hi, i, key=_LO)
+            if i < j:
+                lo = min(lo, out[i][0])
+                hi = max(hi, out[j - 1][1])
+            out[i:j] = ((lo, hi),)
+        return Region1D._wrap(tuple(out))
 
     def intersect(self, other: "Region1D") -> "Region1D":
+        """Two-pointer sweep; the pieces it emits are already canonical."""
+        a, b = self.pieces, other.pieces
         out: list[Piece] = []
-        for alo, ahi in self.pieces:
-            for blo, bhi in other.pieces:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi:
-                    out.append((lo, hi))
-        return Region1D(out)
+        i = j = 0
+        while i < len(a) and j < len(b):
+            alo, ahi = a[i]
+            blo, bhi = b[j]
+            lo = alo if alo > blo else blo
+            hi = ahi if ahi < bhi else bhi
+            if lo <= hi:
+                out.append((lo, hi))
+            if ahi < bhi:
+                i += 1
+            else:
+                j += 1
+        return Region1D._wrap(tuple(out))
 
     def contains_point(self, x) -> bool:
         x = _as_fraction(x)
         return any(lo <= x <= hi for lo, hi in self.pieces)
 
     def contains_region(self, other: "Region1D") -> bool:
-        return other.intersect(self) == other
+        """Each piece of other must lie in the last piece of self that starts at or before it."""
+        pieces = self.pieces
+        i = 0
+        for lo, hi in other.pieces:
+            i = bisect.bisect_right(pieces, lo, i, key=_LO)
+            if i == 0 or pieces[i - 1][1] < hi:
+                return False
+        return True
 
     def intersects(self, other: "Region1D") -> bool:
         return not self.intersect(other).is_empty()

@@ -9,6 +9,7 @@ at a finite horizon the answer says so instead of guessing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,8 @@ from .region import (
     Region1D,
     Space1D,
     _as_fraction,
+    _HI,
+    _LO,
     grid_cells,
 )
 
@@ -152,23 +155,35 @@ def projections(R: SymbolicRelation) -> tuple[Region1D, Region1D]:
 
 
 def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
-    """Closure of a minus b; exact on closed pieces (endpoints are kept)."""
-    out: list[tuple[Fraction, Fraction]] = []
+    """Closure of a minus b; exact on closed pieces (endpoints are kept).
+
+    For each piece of a, one bisect finds the first piece of b that can meet
+    it, and the sweep walks forward while b's pieces start inside it.  A
+    point of b inside a piece of a leaves two touching pieces, which the
+    final pass joins.
+    """
+    bp = b.pieces
+    cut: list[tuple[Fraction, Fraction]] = []
+    k = 0
     for lo, hi in a.pieces:
-        cur = [(lo, hi)]
-        for blo, bhi in b.pieces:
-            nxt = []
-            for clo, chi in cur:
-                if bhi < clo or blo > chi:
-                    nxt.append((clo, chi))
-                    continue
-                if blo > clo:
-                    nxt.append((clo, min(chi, blo)))
-                if bhi < chi:
-                    nxt.append((max(clo, bhi), chi))
-            cur = nxt
-        out.extend(cur)
-    return Region1D(out)
+        k = j = bisect.bisect_left(bp, lo, k, key=_HI)
+        while j < len(bp) and bp[j][0] <= hi:
+            blo, bhi = bp[j]
+            if blo > lo:
+                cut.append((lo, blo))
+            if bhi >= hi:
+                break
+            lo = bhi
+            j += 1
+        else:
+            cut.append((lo, hi))
+    out: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in cut:
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return Region1D._wrap(tuple(out))
 
 
 def _frontier_chase(R: SymbolicRelation, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
@@ -177,15 +192,17 @@ def _frontier_chase(R: SymbolicRelation, start: Region1D) -> Iterator[tuple[Regi
     Only the frontier (closure of the newly added part) is imaged each step,
     which is exact because images distribute over unions.  The chase ends at
     the first image that adds nothing; each step costs one sym_image and,
-    when it grows, one region_difference_closure.
+    when it grows, one region_difference_closure.  Since (acc u img) minus
+    acc is img minus acc, the new frontier comes from the image alone, so a
+    step makes O(|img| log |acc|) comparisons, not O(|acc|^2).
     """
     acc = frontier = start
     while True:
-        nxt = acc.union(sym_image(R, frontier))
-        if nxt == acc:
+        img = sym_image(R, frontier)
+        if acc.contains_region(img):
             return
-        frontier = region_difference_closure(nxt, acc)
-        acc = nxt
+        frontier = region_difference_closure(img, acc)
+        acc = acc.union(frontier)
         yield acc, frontier
 
 
@@ -202,7 +219,7 @@ def sym_reach(
     if steps < max_iter:
         return acc, True
     # one more image to detect stabilization exactly at the boundary
-    return acc, acc.union(sym_image(R, frontier)) == acc
+    return acc, acc.contains_region(sym_image(R, frontier))
 
 
 def sym_reach_chain(R: SymbolicRelation, start: Region1D, max_iter: int) -> list[Region1D]:
@@ -224,29 +241,10 @@ def is_total(R: SymbolicRelation) -> bool:
 # discretization
 
 
-def _segment_meets_box(seg: Segment, x0, x1, y0, y1) -> bool:
-    """Exact closed segment vs closed axis box test (Liang-Barsky clipping)."""
-    px, py = seg.x1, seg.y1
-    dx, dy = seg.x2 - seg.x1, seg.y2 - seg.y1
-    t0, t1 = Fraction(0), Fraction(1)
-    for p, q in (
-        (-dx, px - x0),
-        (dx, x1 - px),
-        (-dy, py - y0),
-        (dy, y1 - py),
-    ):
-        if p == 0:
-            if q < 0:
-                return False
-        else:
-            r = Fraction(q, 1) / p
-            if p < 0:
-                if r > t0:
-                    t0 = r
-            else:
-                if r < t1:
-                    t1 = r
-    return t0 <= t1
+def _meeting(cells: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction) -> range:
+    """Indices of the sorted closed cells that meet the closed range [lo, hi]."""
+    first = bisect.bisect_left(cells, lo, key=_HI)
+    return range(first, bisect.bisect_right(cells, hi, first, key=_LO))
 
 
 def discretize(
@@ -259,6 +257,10 @@ def discretize(
     box walk.  Negative verdicts about the boxes therefore transfer to the
     relation; positive ones need symbolic witnesses.  The returned eps-net
     predicate measures density of box unions at eps = delta.
+
+    Each primitive is swept column by column: over the cells its x-extent
+    meets, its exact y-range within the column picks the rows it meets,
+    which is the closed segment-box test at O(cells + edges) per primitive.
     """
     delta = _as_fraction(delta)
     cells = grid_cells(R.space, delta)
@@ -267,21 +269,15 @@ def discretize(
             f"{len(cells)} grid boxes exceed the cap of {box_cap}"
         )
     labels = [f"b{i}" for i in range(len(cells))]
-    edges = []
-    for i, (ax0, ax1) in enumerate(cells):
-        for j, (bx0, bx1) in enumerate(cells):
-            hit = False
-            for prim in R.primitives:
-                if isinstance(prim, Segment):
-                    if _segment_meets_box(prim, ax0, ax1, bx0, bx1):
-                        hit = True
-                        break
-                else:
-                    if ax0 <= prim.x <= ax1 and bx0 <= prim.y <= bx1:
-                        hit = True
-                        break
-            if hit:
-                edges.append((i, j))
+    edges = set()
+    for prim in R.primitives:
+        if isinstance(prim, Segment):
+            for i in _meeting(cells, *prim.x_extent()):
+                ylo, yhi = _segment_image_over(prim, *cells[i])
+                edges.update((i, j) for j in _meeting(cells, ylo, yhi))
+        else:
+            for i in _meeting(cells, prim.x, prim.x):
+                edges.update((i, j) for j in _meeting(cells, prim.y, prim.y))
     space = FiniteSpace(labels)
     finite = FiniteRelation(space, edges)
     predicate = EpsNet(R.space, cells, delta)

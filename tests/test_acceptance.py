@@ -286,7 +286,7 @@ def test_criterion_09_exxi_statement_separation():
         union0 = forward_union(R, cell, 64, include_start=True)
         if not eps_dense(space, union0, delta):
             failures.append(f"zero-step union from [{lo},{hi}] not dense")
-    _report(9, "zero-step unions dense everywhere; positive union fails at {2}", t0, 120.0, failures)
+    _report(9, "zero-step unions dense everywhere; positive union fails at {2}", t0, 10.0, failures)
 
 
 def test_criterion_10_tree_module():
@@ -370,4 +370,4 @@ def test_criterion_12_cli_and_gallery(tmp_path):
     tree = build_tree(fse1.relation, 0, 3)
     if dot_export(tree) != dot_export(build_tree(fse1.relation, 0, 3)):
         failures.append("in-process DOT not stable")
-    _report(12, "gallery round-trips, run-all green, DOT byte-stable", t0, 120.0, failures)
+    _report(12, "gallery round-trips, run-all green, DOT byte-stable", t0, 30.0, failures)

@@ -177,3 +177,22 @@ def test_eps_net_takes_an_exact_eps():
     with pytest.raises(ValueError, match="malformed rational"):
         EpsNet(sp, [(0, 1)], "0.1")
     assert EpsNet(sp, [(0, 1)], "1/10").eps == F(1, 10)
+
+
+def test_booleans_are_not_rationals():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="booleans"):
+            Segment(value, 0, 1, 1)
+        with pytest.raises(TypeError, match="booleans"):
+            Region1D.point(value)
+        with pytest.raises(TypeError, match="booleans"):
+            EpsNet(Space1D(intervals=[(0, 1)]), [(0, 1)], value)
+
+
+def test_eps_net_rejects_reversed_extents():
+    sp = Space1D(intervals=[(0, 1)])
+    with pytest.raises(ValueError, match="out of order"):
+        EpsNet(sp, [(1, 0)], 1)
+    with pytest.raises(ValueError, match="out of order"):
+        EpsNet(sp, [(0, F(1, 2)), (F(3, 4), F(1, 2))], F(1, 4))
+    assert EpsNet(sp, [(F(1, 2), F(1, 2))], 1).dense(frozenset({0}))

@@ -9,7 +9,6 @@ from crdyn.symbolic import (
     Segment,
     SinglePoint,
     SymbolicRelation,
-    _segment_meets_box,
     bounded_walk_search,
     discretize,
     forward_union,
@@ -29,6 +28,35 @@ CROSS_MID = SymbolicRelation(
     UNIT, [Segment(0, F(1, 2), 1, F(1, 2)), Segment(F(1, 2), 0, F(1, 2), 1)]
 )
 CROSS_ZERO = SymbolicRelation(UNIT, [Segment(0, 1, 1, 1), Segment(0, 0, 0, 1)])
+
+
+def segment_meets_box(seg: Segment, x0, x1, y0, y1) -> bool:
+    """Exact closed segment vs closed axis box test (Liang-Barsky clipping).
+
+    The box test discretize made for every cell pair before it swept columns
+    per primitive; kept as the reference for its edges.
+    """
+    px, py = seg.x1, seg.y1
+    dx, dy = seg.x2 - seg.x1, seg.y2 - seg.y1
+    t0, t1 = F(0), F(1)
+    for p, q in (
+        (-dx, px - x0),
+        (dx, x1 - px),
+        (-dy, py - y0),
+        (dy, y1 - py),
+    ):
+        if p == 0:
+            if q < 0:
+                return False
+        else:
+            r = F(q, 1) / p
+            if p < 0:
+                if r > t0:
+                    t0 = r
+            else:
+                if r < t1:
+                    t1 = r
+    return t0 <= t1
 
 
 def random_segments(rng: random.Random, count: int) -> list[Segment]:
@@ -190,16 +218,16 @@ class TestDiscretize:
 class TestSegmentBoxIntersection:
     def test_touching_corner_counts(self):
         seg = Segment(0, 0, 1, 1)
-        assert _segment_meets_box(seg, F(1, 2), 1, 0, F(1, 2))
+        assert segment_meets_box(seg, F(1, 2), 1, 0, F(1, 2))
 
     def test_disjoint(self):
         seg = Segment(0, 0, F(1, 4), F(1, 4))
-        assert not _segment_meets_box(seg, F(1, 2), 1, 0, F(1, 2))
+        assert not segment_meets_box(seg, F(1, 2), 1, 0, F(1, 2))
 
     def test_vertical_segment(self):
         seg = Segment(F(1, 2), 0, F(1, 2), 1)
-        assert _segment_meets_box(seg, F(1, 4), F(3, 4), F(1, 4), F(1, 2))
-        assert not _segment_meets_box(seg, F(5, 8), F(3, 4), 0, 1)
+        assert segment_meets_box(seg, F(1, 4), F(3, 4), F(1, 4), F(1, 2))
+        assert not segment_meets_box(seg, F(5, 8), F(3, 4), 0, 1)
 
     def test_agrees_with_sampling(self, rng):
         for _ in range(300):
@@ -207,7 +235,7 @@ class TestSegmentBoxIntersection:
             x0 = F(rng.randint(0, 3), 4)
             y0 = F(rng.randint(0, 3), 4)
             box = (x0, x0 + F(1, 4), y0, y0 + F(1, 4))
-            fast = _segment_meets_box(seg, *box)
+            fast = segment_meets_box(seg, *box)
             hits = False
             for k in range(33):
                 t = F(k, 32)
