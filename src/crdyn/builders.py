@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import BudgetExceededError
-from .region import Region1D, Space1D, _as_fraction, eps_dense, grid_cells
+from .region import OrbitCover, Region1D, Space1D, _as_fraction, eps_dense, grid_cells
 from .symbolic import Segment
 
 F = Fraction
@@ -116,59 +116,33 @@ def density_threshold_steps(
 ) -> dict[Fraction, int | None]:
     """First step index at which the accumulated points are eps-dense in [lo, hi].
 
-    step_batches[n] lists the points added at step n.  Returns, per eps, the
-    least n whose cumulative point set has covering radius <= eps (None when
-    never reached).  Incremental: a sorted list plus a lazy max-gap heap keep
-    the whole scan near-linear even for thousands of exact rational points.
+    step_batches[n] lists the points added at step n; points outside [lo, hi]
+    are ignored.  Returns, per eps, the least n whose cumulative point set has
+    covering radius <= eps (None when never reached).  One OrbitCover per eps,
+    largest eps first, takes each point in O(log n) comparisons plus a tuple
+    copy.  lo == hi is the one-point space; lo > hi and eps <= 0 raise
+    ValueError.
     """
-    import bisect
-    import heapq
-
+    space = Space1D(intervals=[(lo, hi)])
     lo, hi = _as_fraction(lo), _as_fraction(hi)
-    eps_values = sorted((_as_fraction(e) for e in eps_values), reverse=True)
+    eps_values = sorted({_as_fraction(e) for e in eps_values}, reverse=True)
+    if eps_values and eps_values[-1] <= 0:
+        raise ValueError("eps must be positive")
     out: dict[Fraction, int | None] = {e: None for e in eps_values}
-    pending = list(eps_values)  # descending; satisfied in order
-    xs: list[Fraction] = []
-    next_of: dict[Fraction, Fraction] = {}
-    gap_heap: list[tuple[Fraction, Fraction, Fraction]] = []
-
-    def covering_radius() -> Fraction | None:
-        if not xs:
-            return None
-        best_gap = Fraction(0)
-        while gap_heap:
-            neg, a, b = gap_heap[0]
-            if next_of.get(a) == b:
-                best_gap = -neg
-                break
-            heapq.heappop(gap_heap)
-        return max(xs[0] - lo, hi - xs[-1], best_gap / 2)
-
-    for n, batch in enumerate(step_batches):
-        for v in batch:
-            v = _as_fraction(v)
-            if not lo <= v <= hi:
-                continue
-            i = bisect.bisect_left(xs, v)
-            if i < len(xs) and xs[i] == v:
-                continue
-            left = xs[i - 1] if i > 0 else None
-            right = xs[i] if i < len(xs) else None
-            xs.insert(i, v)
-            if left is not None and right is not None:
-                del next_of[left]
-            if left is not None:
-                next_of[left] = v
-                heapq.heappush(gap_heap, (-(v - left), left, v))
-            if right is not None:
-                next_of[v] = right
-                heapq.heappush(gap_heap, (-(right - v), v, right))
-        radius = covering_radius()
-        while pending and radius is not None and radius <= pending[0]:
-            out[pending[0]] = n
-            pending.pop(0)
-        if not pending:
-            break
+    steps = enumerate(step_batches)
+    points: tuple[Fraction, ...] = ()
+    for eps in eps_values:
+        cover = OrbitCover(space, eps, points)
+        while not cover.dense():  # an empty cover is never dense, so n gets bound
+            step = next(steps, None)
+            if step is None:
+                return out
+            n, batch = step
+            for v in map(_as_fraction, batch):
+                if lo <= v <= hi:
+                    cover = cover.insert(v)
+        out[eps] = n
+        points = cover.points
     return out
 
 

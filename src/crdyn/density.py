@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Protocol, Sequence
 
-from .region import Piece, Region1D, Space1D, _as_fraction, eps_dense
+from .region import Piece, Region1D, Space1D, _CoverFrame, _as_fraction, _merge
 
 
 class DensityPredicate(Protocol):
@@ -37,22 +37,29 @@ class Exhaustive:
 
 
 class EpsNet:
-    """dense(S) holds when the extents of S form an eps-net of the space."""
+    """dense(S) holds when the extents of S form an eps-net of the space.
 
-    __slots__ = ("space", "extents", "eps")
+    The extent endpoints are ranked once, so a density test sorts and merges
+    the chosen extents as pairs of ranks and hands the merged pieces to the
+    space's covering test.
+    """
+
+    __slots__ = ("space", "extents", "eps", "_frame", "_values", "_ranks")
 
     def __init__(self, space: Space1D, extents: Sequence[Piece], eps):
         self.space = space
         self.extents = tuple(extents)
-        self.eps = _as_fraction(eps)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        region = space.region()
-        for lo, hi in self.extents:
+        self._frame = _CoverFrame(space, eps)
+        self.eps = self._frame.eps
+        pieces = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in self.extents]
+        for lo, hi in pieces:
             if lo > hi:
                 raise ValueError(f"extent bounds out of order: [{lo},{hi}]")
-            if not (region.contains_point(lo) and region.contains_point(hi)):
+            if not space.contains_region(Region1D.interval(lo, hi)):
                 raise ValueError(f"extent [{lo},{hi}] leaves the space")
+        self._values = sorted({e for piece in pieces for e in piece})
+        rank = {v: k for k, v in enumerate(self._values)}
+        self._ranks = [(rank[lo], rank[hi]) for lo, hi in pieces]
 
     def with_eps(self, eps) -> "EpsNet":
         return EpsNet(self.space, self.extents, eps)
@@ -61,7 +68,9 @@ class EpsNet:
         return Region1D(self.extents[i] for i in points)
 
     def dense(self, points: frozenset[int]) -> bool:
-        return eps_dense(self.space, self.covered_region(points), self.eps)
+        values = self._values
+        merged = _merge(sorted(map(self._ranks.__getitem__, points)))
+        return self._frame.covers([(values[lo], values[hi]) for lo, hi in merged])
 
     def __repr__(self) -> str:
         return f"EpsNet(eps={self.eps}, points={len(self.extents)})"

@@ -17,6 +17,7 @@ Piece = tuple[Fraction, Fraction]  # closed interval, lo <= hi; lo == hi is a po
 # canonical pieces are sorted by both ends, so bisect can key on either
 _LO = itemgetter(0)
 _HI = itemgetter(1)
+_ZERO = Fraction(0)
 
 
 def _as_fraction(x) -> Fraction:
@@ -33,7 +34,11 @@ def _as_fraction(x) -> Fraction:
 
 def _canonical(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
     """Sort, drop empties, merge overlapping or touching closed intervals."""
-    items = sorted((lo, hi) for lo, hi in pieces if lo <= hi)
+    return _merge(sorted((lo, hi) for lo, hi in pieces if lo <= hi))
+
+
+def _merge(items: Iterable[Piece]) -> tuple[Piece, ...]:
+    """Merge overlapping or touching closed intervals given in ascending order."""
     merged: list[Piece] = []
     for lo, hi in items:
         if merged and lo <= merged[-1][1]:
@@ -179,14 +184,8 @@ class Region1D:
         x = _as_fraction(x)
         if not self.pieces:
             return None
-        best: Fraction | None = None
-        for lo, hi in self.pieces:
-            if lo <= x <= hi:
-                return Fraction(0)
-            d = lo - x if x < lo else x - hi
-            if best is None or d < best:
-                best = d
-        return best
+        lows, highs = zip(*self.pieces)
+        return _distance(lows, highs, x)
 
 
 class Space1D:
@@ -196,7 +195,7 @@ class Space1D:
     interval endpoints are not isolated.
     """
 
-    __slots__ = ("intervals", "isolated")
+    __slots__ = ("intervals", "isolated", "_components")
 
     def __init__(self, intervals: Sequence = (), isolated: Sequence = ()):
         norm_iv = []
@@ -219,6 +218,7 @@ class Space1D:
             raise ValueError("space must be non-empty")
         object.__setattr__(self, "intervals", merged)
         object.__setattr__(self, "isolated", tuple(pts))
+        object.__setattr__(self, "_components", tuple(sorted(merged + tuple((p, p) for p in pts))))
 
     def __setattr__(self, *a):
         raise AttributeError("Space1D is immutable")
@@ -239,7 +239,7 @@ class Space1D:
         return "Space1D(" + " u ".join(parts) + ")"
 
     def region(self) -> Region1D:
-        return Region1D(self.intervals + tuple((p, p) for p in self.isolated))
+        return Region1D._wrap(self._components)
 
     def contains_point(self, x) -> bool:
         return self.region().contains_point(x)
@@ -248,62 +248,79 @@ class Space1D:
         return self.region().contains_region(r)
 
 
-def eps_dense(space: Space1D, covered: Region1D, eps) -> bool:
-    """Decide whether every point of the space is within eps of the region.
+def _distance(lows: Sequence[Fraction], highs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Exact distance from x to the sorted disjoint closed pieces [lows[i], highs[i]].
 
-    Exact: the farthest point of a space component from `covered` is either a
-    component endpoint or the midpoint of a gap between consecutive pieces of
-    `covered`, so only finitely many rational candidates need checking.  The
-    scan is kept linear in the number of covered pieces.
+    There is at least one piece; sorted points pass as both lows and highs.
     """
-    eps = _as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if covered.is_empty():
-        return False
-    pieces = covered.pieces
-    starts = [p[0] for p in pieces]
+    i = bisect.bisect_right(lows, x)
+    if i == 0:
+        return lows[0] - x
+    left = x - highs[i - 1]
+    if left <= 0:
+        return _ZERO
+    if i == len(lows):
+        return left
+    right = lows[i] - x
+    return right if right < left else left
 
-    def dist(x: Fraction) -> Fraction:
-        i = bisect.bisect_right(starts, x) - 1
-        best = None
-        if i >= 0:
-            plo, phi = pieces[i]
-            if x <= phi:
-                return Fraction(0)
-            best = x - phi
-        if i + 1 < len(pieces):
-            d = pieces[i + 1][0] - x
-            if best is None or d < best:
-                best = d
-        assert best is not None
-        return best
 
-    for lo, hi in space.intervals + tuple((p, p) for p in space.isolated):
-        if dist(lo) > eps or dist(hi) > eps:
+class _CoverFrame:
+    """The eps-net test of one space at one eps, over sorted disjoint pieces.
+
+    The point of a space component farthest from a closed set is either a
+    component endpoint or the midpoint of a gap between consecutive pieces of
+    the set.  So pieces form an eps-net of the space exactly when no gap is
+    bad (wider than 2 eps with its midpoint in the space) and every component
+    endpoint lies within eps of a piece.
+    """
+
+    __slots__ = ("eps", "width", "lows", "highs", "ends")
+
+    def __init__(self, space: Space1D, eps):
+        eps = _as_fraction(eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        comps = space._components
+        self.eps = eps
+        self.width = 2 * eps
+        self.lows, self.highs = zip(*comps)
+        self.ends = tuple(e for lo, hi in comps for e in ((lo,) if lo == hi else (lo, hi)))
+
+    def bad_gap(self, p: Fraction, q: Fraction) -> bool:
+        """Whether the gap from p up to q between consecutive pieces is bad."""
+        if q - p <= self.width:
             return False
-        # gap midpoints strictly inside [lo, hi]
-        j = max(bisect.bisect_right(starts, lo) - 1, 0)
-        while j + 1 < len(pieces):
-            phi = pieces[j][1]
-            if phi >= hi:
-                break
-            qlo = pieces[j + 1][0]
-            mid = (phi + qlo) / 2
-            if lo <= mid <= hi and mid - phi > eps:
+        mid = (p + q) / 2
+        i = bisect.bisect_right(self.lows, mid) - 1
+        return i >= 0 and mid <= self.highs[i]
+
+    def near_ends(self, lows: Sequence[Fraction], highs: Sequence[Fraction]) -> bool:
+        """Whether every component endpoint lies within eps of the (non-empty) pieces."""
+        eps = self.eps
+        for e in self.ends:
+            if _distance(lows, highs, e) > eps:
                 return False
-            j += 1
-    return True
+        return True
+
+    def covers(self, pieces: Sequence[Piece]) -> bool:
+        """Whether the sorted disjoint pieces form an eps-net of the space."""
+        if not pieces:
+            return False
+        lows, highs = zip(*pieces)
+        return not any(map(self.bad_gap, highs, lows[1:])) and self.near_ends(lows, highs)
+
+
+def eps_dense(space: Space1D, covered: Region1D, eps) -> bool:
+    """Decide exactly whether every point of the space is within eps of the region."""
+    return _CoverFrame(space, eps).covers(covered.pieces)
 
 
 class OrbitCover:
     """A finite orbit kept for incremental eps-density tests on one space.
 
     `points` is the sorted tuple of distinct orbit points and `bad` counts the
-    gaps between consecutive points that are wider than 2 eps and whose
-    midpoint lies in the space.  By the candidate-point argument of
-    `eps_dense`, the orbit is an eps-net exactly when no gap is bad and every
-    component endpoint lies within eps of an orbit point.  Covers are
+    bad gaps between consecutive points (see `_CoverFrame`).  Covers are
     immutable: `insert` returns a new cover (one bisect, at most three gap
     tests and a tuple copy), so a depth-first search can keep one per state.
     """
@@ -311,22 +328,9 @@ class OrbitCover:
     __slots__ = ("points", "bad", "_frame")
 
     def __init__(self, space: Space1D, eps, points: Iterable = ()):
-        eps = _as_fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        comps = sorted(space.intervals + tuple((p, p) for p in space.isolated))
-        ends = tuple(e for lo, hi in comps for e in ((lo,) if lo == hi else (lo, hi)))
-        self._frame = (eps, 2 * eps, tuple(lo for lo, _ in comps), tuple(hi for _, hi in comps), ends)
+        self._frame = _CoverFrame(space, eps)
         self.points = tuple(sorted({_as_fraction(p) for p in points}))
-        self.bad = sum(self._bad_gap(p, q) for p, q in zip(self.points, self.points[1:]))
-
-    def _bad_gap(self, p: Fraction, q: Fraction) -> bool:
-        _, width, lows, highs, _ = self._frame
-        if q - p <= width:
-            return False
-        mid = (p + q) / 2
-        i = bisect.bisect_right(lows, mid) - 1
-        return i >= 0 and mid <= highs[i]
+        self.bad = sum(map(self._frame.bad_gap, self.points, self.points[1:]))
 
     def insert(self, v: Fraction) -> "OrbitCover":
         """The cover of the orbit with v added; self when v is already in it."""
@@ -334,13 +338,14 @@ class OrbitCover:
         i = bisect.bisect_left(pts, v)
         if i < len(pts) and pts[i] == v:
             return self
+        bad_gap = self._frame.bad_gap
         bad = self.bad
         if 0 < i < len(pts):
-            bad -= self._bad_gap(pts[i - 1], pts[i])
+            bad -= bad_gap(pts[i - 1], pts[i])
         if i > 0:
-            bad += self._bad_gap(pts[i - 1], v)
+            bad += bad_gap(pts[i - 1], v)
         if i < len(pts):
-            bad += self._bad_gap(v, pts[i])
+            bad += bad_gap(v, pts[i])
         new = object.__new__(OrbitCover)
         new._frame = self._frame
         new.points = pts[:i] + (v,) + pts[i:]
@@ -349,19 +354,13 @@ class OrbitCover:
 
     def distance(self, x: Fraction) -> Fraction:
         """Exact distance from x to the nearest orbit point (the orbit is non-empty)."""
-        pts = self.points
-        i = bisect.bisect_left(pts, x)
-        if i == len(pts):
-            return x - pts[-1]
-        right = pts[i] - x
-        return right if i == 0 or right == 0 else min(right, x - pts[i - 1])
+        return _distance(self.points, self.points, x)
 
     def dense(self) -> bool:
         """Whether every point of the space is within eps of the orbit."""
         if not self.points or self.bad:
             return False
-        eps = self._frame[0]
-        return all(self.distance(e) <= eps for e in self._frame[4])
+        return self._frame.near_ends(self.points, self.points)
 
 
 def grid_cells(space: Space1D, delta) -> list[Piece]:

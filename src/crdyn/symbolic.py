@@ -23,6 +23,7 @@ from .region import (
     Region1D,
     Space1D,
     _as_fraction,
+    _distance,
     _HI,
     _LO,
     grid_cells,
@@ -458,7 +459,8 @@ def bounded_walk_search(
 
     # explore the farthest-from-covered successor first (LIFO: push last)
     def farthest_last(cover, succs):
-        return sorted(succs, key=lambda v: (cover.distance(v), -v))
+        pts = cover.points
+        return sorted(succs, key=lambda v: (_distance(pts, pts, v), -v))
 
     return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, farthest_last))
 

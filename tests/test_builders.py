@@ -122,6 +122,16 @@ class TestDensityThresholds:
         out = density_threshold_steps(0, 1, [[F(1, 2)]], [F(1, 100)])
         assert out[F(1, 100)] is None
 
+    def test_one_point_interval(self):
+        out = density_threshold_steps(F(1, 2), F(1, 2), [[F(1, 4)], [F(1, 2)]], [F(1, 4)])
+        assert out == {F(1, 4): 1}
+
+    def test_reversed_bounds_and_nonpositive_eps_are_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            density_threshold_steps(1, 0, [[F(1, 2)]], [F(1, 4)])
+        with pytest.raises(ValueError, match="eps must be positive"):
+            density_threshold_steps(0, 1, [[F(1, 2)]], [F(1, 4), 0])
+
     def test_matches_direct_eps_dense(self, rng):
         for _ in range(50):
             batches = [

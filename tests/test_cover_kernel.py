@@ -1,0 +1,260 @@
+"""The shared covering kernel against the code it replaced.
+
+eps_dense, OrbitCover, EpsNet.dense, density_threshold_steps and
+Region1D.distance_to now share one gap-and-endpoint test and one
+distance-to-sorted-pieces function.  The references below are the old
+candidate-scan eps_dense, the old max-gap-heap density_threshold_steps, the
+old EpsNet.dense that built a Region1D and ran the old eps_dense on it, and
+the old linear distance_to.  The new code must give the same answers on
+seeded random spaces (several components, isolated points), covered pieces
+partly outside the space, touching and degenerate pieces, dyadic endpoints
+and several eps.
+"""
+
+import bisect
+import heapq
+import random
+from fractions import Fraction as F
+
+from crdyn.builders import density_threshold_steps
+from crdyn.density import EpsNet
+from crdyn.region import OrbitCover, Region1D, Space1D, eps_dense
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def ref_eps_dense(space, covered, eps):
+    if covered.is_empty():
+        return False
+    pieces = covered.pieces
+    starts = [p[0] for p in pieces]
+
+    def dist(x):
+        i = bisect.bisect_right(starts, x) - 1
+        best = None
+        if i >= 0:
+            plo, phi = pieces[i]
+            if x <= phi:
+                return F(0)
+            best = x - phi
+        if i + 1 < len(pieces):
+            d = pieces[i + 1][0] - x
+            if best is None or d < best:
+                best = d
+        return best
+
+    for lo, hi in space.intervals + tuple((p, p) for p in space.isolated):
+        if dist(lo) > eps or dist(hi) > eps:
+            return False
+        j = max(bisect.bisect_right(starts, lo) - 1, 0)
+        while j + 1 < len(pieces):
+            phi = pieces[j][1]
+            if phi >= hi:
+                break
+            qlo = pieces[j + 1][0]
+            mid = (phi + qlo) / 2
+            if lo <= mid <= hi and mid - phi > eps:
+                return False
+            j += 1
+    return True
+
+
+def ref_net_dense(net, points):
+    return ref_eps_dense(net.space, Region1D(net.extents[i] for i in points), net.eps)
+
+
+def ref_distance_to(region, x):
+    if not region.pieces:
+        return None
+    best = None
+    for lo, hi in region.pieces:
+        if lo <= x <= hi:
+            return F(0)
+        d = lo - x if x < lo else x - hi
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def ref_threshold_steps(lo, hi, step_batches, eps_values):
+    lo, hi = F(lo), F(hi)
+    eps_values = sorted(eps_values, reverse=True)
+    out = {e: None for e in eps_values}
+    pending = list(eps_values)
+    xs = []
+    next_of = {}
+    gap_heap = []
+
+    def covering_radius():
+        if not xs:
+            return None
+        best_gap = F(0)
+        while gap_heap:
+            neg, a, b = gap_heap[0]
+            if next_of.get(a) == b:
+                best_gap = -neg
+                break
+            heapq.heappop(gap_heap)
+        return max(xs[0] - lo, hi - xs[-1], best_gap / 2)
+
+    for n, batch in enumerate(step_batches):
+        for v in batch:
+            if not lo <= v <= hi:
+                continue
+            i = bisect.bisect_left(xs, v)
+            if i < len(xs) and xs[i] == v:
+                continue
+            left = xs[i - 1] if i > 0 else None
+            right = xs[i] if i < len(xs) else None
+            xs.insert(i, v)
+            if left is not None and right is not None:
+                del next_of[left]
+            if left is not None:
+                next_of[left] = v
+                heapq.heappush(gap_heap, (-(v - left), left, v))
+            if right is not None:
+                next_of[v] = right
+                heapq.heappush(gap_heap, (-(right - v), v, right))
+        radius = covering_radius()
+        while pending and radius is not None and radius <= pending[0]:
+            out[pending[0]] = n
+            pending.pop(0)
+        if not pending:
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random inputs on a dyadic grid: spaces live in [0, 4], covered pieces in
+# [-1/2, 9/2], so some pieces stick out of the space or miss it entirely
+
+DEN = 16
+
+
+def random_space(rng):
+    marks = sorted(rng.sample(range(4 * DEN + 1), rng.randint(1, 7)))
+    intervals, isolated = [], []
+    i = 0
+    while i < len(marks):
+        if i + 1 < len(marks) and rng.random() < 0.6:
+            intervals.append((F(marks[i], DEN), F(marks[i + 1], DEN)))
+            i += 2
+        else:
+            isolated.append(F(marks[i], DEN))
+            i += 1
+    return Space1D(intervals=intervals, isolated=isolated)
+
+
+def random_region(rng):
+    pieces = []
+    for _ in range(rng.randint(0, 10)):
+        if pieces and rng.random() < 0.25:
+            a = pieces[-1][1] * DEN  # touches the previous piece
+        else:
+            a = rng.randint(-DEN // 2, 4 * DEN + DEN // 2)
+        b = a if rng.random() < 0.3 else a + rng.randint(1, DEN)
+        pieces.append((F(a, DEN), F(b, DEN)))
+    return Region1D(pieces)
+
+
+def random_eps(rng):
+    return rng.choice([F(1, 64), F(1, 16), F(1, 8), F(3, 16), F(1, 4), F(1, 2), F(1),
+                       F(rng.randint(1, 32), 32)])
+
+
+def random_extents(rng, space, n):
+    comps = space.intervals + tuple((p, p) for p in space.isolated)
+    extents = []
+    for _ in range(n):
+        lo, hi = rng.choice(comps)
+        a, b = sorted(lo + (hi - lo) * F(rng.randint(0, 8), 8) for _ in range(2))
+        extents.append((a, a) if rng.random() < 0.2 else (a, b))
+    return extents
+
+
+# ---------------------------------------------------------------------------
+
+
+def test_eps_dense_matches_the_candidate_scan():
+    rng = random.Random(61)
+    dense = 0
+    for _ in range(1500):
+        space = random_space(rng)
+        covered = random_region(rng)
+        for eps in {random_eps(rng) for _ in range(3)}:
+            got = eps_dense(space, covered, eps)
+            assert got == ref_eps_dense(space, covered, eps), (space, covered, eps)
+            dense += got
+    assert dense > 200  # both verdicts are well represented
+
+
+def test_eps_dense_on_a_region_that_is_the_space():
+    rng = random.Random(62)
+    for _ in range(200):
+        space = random_space(rng)
+        assert eps_dense(space, space.region(), F(1, 1024))
+        assert ref_eps_dense(space, space.region(), F(1, 1024))
+
+
+def test_orbit_cover_matches_the_candidate_scan():
+    rng = random.Random(63)
+    for _ in range(600):
+        space = random_space(rng)
+        eps = random_eps(rng)
+        points = [F(rng.randint(-DEN // 2, 4 * DEN + DEN // 2), DEN) for _ in range(rng.randint(0, 12))]
+        cover = OrbitCover(space, eps)
+        for k, p in enumerate(points, 1):
+            cover = cover.insert(p)
+            assert cover.dense() == ref_eps_dense(space, Region1D.from_points(points[:k]), eps)
+            assert OrbitCover(space, eps, points[:k]).bad == cover.bad
+            x = F(rng.randint(-DEN, 5 * DEN), 2 * DEN)
+            assert cover.distance(x) == ref_distance_to(Region1D.from_points(points[:k]), x)
+
+
+def test_eps_net_dense_matches_the_region_route():
+    rng = random.Random(64)
+    dense = 0
+    for _ in range(400):
+        space = random_space(rng)
+        n = rng.randint(1, 12)
+        extents = random_extents(rng, space, n)
+        net = EpsNet(space, extents, random_eps(rng))
+        assert net.extents == tuple(extents)  # input order, not sorted order
+        for _ in range(8):
+            points = frozenset(i for i in range(n) if rng.random() < 0.6)
+            got = net.dense(points)
+            assert got == ref_net_dense(net, points), (space, extents, net.eps, points)
+            dense += got
+        assert net.dense(frozenset()) is False
+        assert net.dense(frozenset(range(n))) == ref_net_dense(net, range(n))
+    assert dense > 300
+
+
+def test_distance_to_matches_the_linear_scan():
+    rng = random.Random(65)
+    for _ in range(1000):
+        region = random_region(rng)
+        for _ in range(6):
+            x = F(rng.randint(-2 * DEN, 10 * DEN), 2 * DEN)
+            assert region.distance_to(x) == ref_distance_to(region, x), (region, x)
+        for lo, hi in region.pieces:  # endpoints and midpoints of pieces and gaps
+            for x in (lo, hi, (lo + hi) / 2):
+                assert region.distance_to(x) == ref_distance_to(region, x) == 0
+        for (_, p), (q, _) in zip(region.pieces, region.pieces[1:]):
+            assert region.distance_to((p + q) / 2) == ref_distance_to(region, (p + q) / 2)
+
+
+def test_density_threshold_steps_matches_the_gap_heap():
+    rng = random.Random(66)
+    for _ in range(400):
+        lo = F(rng.randint(0, DEN), DEN)
+        hi = lo if rng.random() < 0.15 else lo + F(rng.randint(1, 2 * DEN), DEN)
+        batches = [
+            [F(rng.randint(-DEN // 2, 3 * DEN + DEN // 2), DEN) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(0, 12))
+        ]
+        eps_values = [random_eps(rng) for _ in range(rng.randint(0, 4))]
+        got = density_threshold_steps(lo, hi, batches, eps_values)
+        want = ref_threshold_steps(lo, hi, batches, eps_values)
+        assert list(got.items()) == list(want.items()), (lo, hi, batches, eps_values)

@@ -161,6 +161,7 @@ class TestDensityBlock:
         ("eps", "-1/4"),
         ("extents", [[0, "1/4"], ["1/4", "1/2"], ["1/2", "3/4"], ["3/4", 2]]),
         ("extents", [[0, "1/4"], ["1/2", "1/4"], ["1/2", "3/4"], ["3/4", 1]]),
+        ("space", {"intervals": [[0, "1/2"], ["3/4", 1]]}),
     ])
     def test_invalid_eps_net_is_a_parse_error(self, field, value):
         doc = _box_document()

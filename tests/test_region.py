@@ -196,3 +196,12 @@ def test_eps_net_rejects_reversed_extents():
     with pytest.raises(ValueError, match="out of order"):
         EpsNet(sp, [(0, F(1, 2)), (F(3, 4), F(1, 2))], F(1, 4))
     assert EpsNet(sp, [(F(1, 2), F(1, 2))], 1).dense(frozenset({0}))
+
+
+def test_eps_net_rejects_an_extent_across_a_gap():
+    sp = Space1D(intervals=[(0, 1), (2, 3)], isolated=[4])
+    for extent in [(F(1, 2), F(5, 2)), (1, 2), (3, 4)]:
+        with pytest.raises(ValueError, match="leaves the space"):
+            EpsNet(sp, [extent], F(1, 2))
+    net = EpsNet(sp, [(F(1, 2), 1), (2, F(5, 2)), (4, 4)], F(1, 2))
+    assert net.dense(frozenset({0, 1, 2})) and not net.dense(frozenset({0, 1}))
