@@ -2,10 +2,9 @@
 
 Two independent routes are provided and cross-tested:
 
-* `classify_point` / `classify_all`: polynomial decisions built on one
-  condensation of the relation.  Legality is reaching a live component;
-  all-walks density reduces to vertex-deletion liveness; some-walk density
-  reduces to a unique-topological-order test over the condensation.
+* `classify_point` / `classify_all`: polynomial decisions read from one
+  analysis of the relation's condensation, cached on the relation.  Under
+  the exhaustive predicate they are structural rules over its components.
 * `oracle_classify`: brute-force exploration of (current point, visited set)
   states, for small instances only.
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .density import DensityPredicate, Exhaustive
+from .density import DensityPredicate, EpsNet, Exhaustive
 from .finite import FiniteRelation, Walk, inverse_relation
 
 OMEGA = None  # sentinel accepted by reach() for the stabilized variant
@@ -70,33 +69,10 @@ class ClassificationTag:
 # graph plumbing
 
 
-def _reaches_cycle(G: FiniteRelation, start: int, allowed: frozenset | None = None) -> bool:
-    """Does some walk from `start` reach a cycle, moving only to `allowed` vertices?"""
-    color = {start: 1}  # 1 = on stack, 2 = done
-    stack = [(start, iter(G.successors(start)))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if allowed is not None and w not in allowed:
-                continue
-            c = color.get(w)
-            if c == 1:
-                return True
-            if c is None:
-                color[w] = 1
-                stack.append((w, iter(G.successors(w))))
-                advanced = True
-                break
-        if not advanced:
-            color[v] = 2
-            stack.pop()
-    return False
-
-
 def legal_by_cycle_reach(G: FiniteRelation) -> frozenset:
-    """Independent legality route: a point is legal iff it reaches a cycle."""
-    return frozenset(x for x in range(G.space.size) if _reaches_cycle(G, x))
+    """Independent legality route: a point is legal iff it reaches a cycle,
+    i.e. iff it survives peeling the successor-free points."""
+    return frozenset(_infinite_starts(G, G.space.all_points()))
 
 
 class Condensation:
@@ -165,43 +141,87 @@ class Condensation:
         self.dag_succ = tuple(frozenset(s) for s in dag)
         self.live = tuple(live)
 
-    def can_reach_live(self) -> tuple[bool, ...]:
-        """Per component: does it reach a live one, i.e. do its points admit an infinite walk?
 
-        Tarjan emits a component only after every component it reaches, so
-        each DAG edge points to a lower index and one ascending pass suffices.
-        """
-        out: list[bool] = []
-        for c in range(self.count):
-            out.append(self.live[c] or any(out[d] for d in self.dag_succ[c]))
-        return tuple(out)
+class _Analysis:
+    """What the finite decisions read from one relation, built once per relation.
 
-    def unique_topological_order(self) -> list[int] | None:
-        """The unique topological order, or None when it is not unique."""
-        indeg = [0] * self.count
-        for c in range(self.count):
-            for d in self.dag_succ[c]:
-                indeg[d] += 1
-        sources = [c for c in range(self.count) if indeg[c] == 0]
-        order = []
-        while sources:
-            if len(sources) != 1:
-                return None
-            c = sources.pop()
-            order.append(c)
-            for d in self.dag_succ[c]:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    sources.append(d)
-        if len(order) != self.count:
-            return None  # unreachable for a valid DAG
-        return order
+    Tarjan emits a component after all it reaches, so DAG edges point to
+    lower indices: one ascending pass gives `reach_live` and the `legal`
+    points, and descending indices are a topological order.  When it is the
+    only one (consecutive components adjacent) and the sink 0 is live, some
+    walk visits every point, starting in `chain_source`, the top component.
+    `source` is the unique source component (or None): when every point is
+    legal, its points are those whose orbit union is the whole space.
+    """
+
+    __slots__ = ("cond", "reach_live", "legal", "chain_source", "source", "_trans1")
+
+    def __init__(self, G: FiniteRelation):
+        cond = self.cond = Condensation(G)
+        reach_live: list[bool] = []
+        for c in range(cond.count):
+            reach_live.append(cond.live[c] or any(reach_live[d] for d in cond.dag_succ[c]))
+        self.reach_live = reach_live
+        self.legal = frozenset(v for v, c in enumerate(cond.scc_of) if reach_live[c])
+        top = cond.count - 1
+        chain = all(c - 1 in cond.dag_succ[c] for c in range(1, cond.count))
+        self.chain_source = top if chain and cond.live[0] else None
+        self.source = top if len(set().union(*cond.dag_succ)) == top else None
+        self._trans1: frozenset | None = None
+
+    def trans1(self, G: FiniteRelation) -> frozenset:
+        """Points from which every infinite walk visits every point."""
+        if self._trans1 is None:
+            self._trans1 = _every_walk_visits_all(G, self)
+        return self._trans1
 
 
-def _legal(cond: Condensation) -> frozenset:
-    """Legal points: those whose component reaches a live one."""
-    reach_live = cond.can_reach_live()
-    return frozenset(v for v, c in enumerate(cond.scc_of) if reach_live[c])
+def _analysis(G: FiniteRelation) -> _Analysis:
+    """G's analysis, built on first use and kept on G."""
+    if G._analysis is None:
+        G._analysis = _Analysis(G)
+    return G._analysis
+
+
+def _infinite_starts(G: FiniteRelation, keep: frozenset) -> set[int]:
+    """Points of `keep` that start an infinite walk inside it: peel the successor-free."""
+    outdeg = {v: sum(w in keep for w in G.successors(v)) for v in keep}
+    dead = [v for v, d in outdeg.items() if not d]
+    while dead:
+        for p in G.predecessors(dead.pop()):
+            if p in outdeg:
+                outdeg[p] -= 1
+                if not outdeg[p]:
+                    dead.append(p)
+    return {v for v, d in outdeg.items() if d}
+
+
+def _every_walk_visits_all(G: FiniteRelation, a: _Analysis) -> frozenset:
+    """The type-1 rule on the chain of components k, k - 1, ..., 0: a subset of k.
+
+    A walk could rest in a live component or jump one, so components k ... 1
+    must be loop-free singletons each followed only by the next.  The walk
+    enters the sink 0 at an entry point (a successor of component 1, or the
+    start when k = 0); for each u in the sink, no entry point but u may start
+    an infinite walk avoiding u.  One peeling pass per u decides it.
+    """
+    cond = a.cond
+    if a.chain_source is None or any(
+        cond.live[c] or cond.dag_succ[c] != {c - 1} for c in range(1, cond.count)
+    ):
+        return frozenset()
+    head, sink = cond.members[-1], cond.members[0]
+    if all(len(G.successors(v)) == 1 for v in sink):
+        return head
+    entries = G.successors(min(cond.members[1])) if cond.count > 1 else None
+    killed: set[int] = set()
+    for u in sink:
+        alive = _infinite_starts(G, sink - {u})
+        if entries is None:
+            killed |= alive  # k = 0: each point is its own entry point
+        elif alive.intersection(entries):
+            return frozenset()
+    return head - killed
 
 
 # ---------------------------------------------------------------------------
@@ -256,63 +276,33 @@ def reach_grade(G: FiniteRelation, x: int, dense: DensityPredicate) -> int | Non
 
 def orbit_union(G: FiniteRelation, x: int) -> frozenset:
     """Union of all infinite-trajectory orbits from x: reachable legal points."""
-    return reach(G, x) & _legal(Condensation(G))
+    return reach(G, x) & _analysis(G).legal
 
 
 # ---------------------------------------------------------------------------
 # fast classification
 
 
-def _trans1_exhaustive(G: FiniteRelation, x: int) -> bool:
-    # Every infinite walk from x must visit every other vertex: deleting any
-    # v != x must leave x without a reachable cycle.
-    everything = G.space.all_points()
-    return all(
-        not _reaches_cycle(G, x, everything - {v})
-        for v in range(G.space.size)
-        if v != x
-    )
-
-
-def _dense_chain_source(cond: Condensation) -> int | None:
-    """The component of the type-2 points under the exhaustive predicate, or None.
-
-    Some walk visits every point exactly when the condensation is one chain
-    (its topological order is unique, so consecutive components are adjacent)
-    that ends in a live component; those walks start in its first component.
-    """
-    order = cond.unique_topological_order()
-    if order is None or not cond.live[order[-1]]:
-        return None
-    return order[0]
+def _density(G: FiniteRelation, dense: DensityPredicate | None) -> DensityPredicate:
+    """`dense`, or G's exhaustive predicate for None; one sized for another space is refused."""
+    n = G.space.size
+    size = len(dense.extents) if isinstance(dense, EpsNet) else getattr(dense, "size", n)
+    if size != n:
+        raise ValueError(f"{dense!r} is sized for {size} points, the space has {n}")
+    return Exhaustive(n) if dense is None else dense
 
 
 def _trans2_bounded(
-    G: FiniteRelation, x: int, dense: DensityPredicate, cond: Condensation, budget: int
+    G: FiniteRelation, x: int, dense: DensityPredicate, a: _Analysis, budget: int
 ) -> bool | None:
     """Search condensation paths for a dense member union ending live-reachable.
 
+    x is legal and its orbit union is dense, so the search starts at once.
     Returns True/False when decided, None when the budget ran out.
     """
-    reach_live = cond.can_reach_live()
-    start = cond.scc_of[x]
-    if not reach_live[start]:
-        return False
-    # quick refutation: nothing outside the reachable cone can ever be visited
-    cone: set[int] = set()
-    work = [start]
-    while work:
-        c = work.pop()
-        if c in cone:
-            continue
-        cone.add(c)
-        work.extend(cond.dag_succ[c])
-    cone_members = frozenset(v for c in cone for v in cond.members[c])
-    if not dense.dense(cone_members):
-        return False
-
+    cond, reach_live = a.cond, a.reach_live
     seen = 0
-    stack: list[tuple[int, frozenset]] = [(start, frozenset())]
+    stack: list[tuple[int, frozenset]] = [(cond.scc_of[x], frozenset())]
     while stack:
         comp, union_before = stack.pop()
         seen += 1
@@ -345,36 +335,44 @@ def _trans1_bounded(
         seen_states.add((v, S))
         if dense.dense(S):
             continue  # extensions only grow S, density is monotone
-        if _reaches_cycle(G, v, S):
+        if v in _infinite_starts(G, S):
             return False
         for w in G.successors(v):
             work.append((w, S | {w}))
     return True
 
 
+def _dense_walks(
+    G: FiniteRelation, a: _Analysis, x: int, dense: DensityPredicate, search_budget: int
+) -> tuple[bool | None, bool | None]:
+    """(some infinite walk from x is dense, every one is) for a legal x with a
+    dense orbit union; None where a bounded search ran out of budget."""
+    if isinstance(dense, Exhaustive):
+        some = a.cond.scc_of[x] == a.chain_source
+        return some, some and x in a.trans1(G)
+    some = _trans2_bounded(G, x, dense, a, search_budget)
+    return some, (_trans1_bounded(G, x, dense, search_budget) if some else some)
+
+
 def _tagger(
     G: FiniteRelation, dense: DensityPredicate | None, search_budget: int
 ) -> Callable[[int], ClassificationTag]:
-    """One analysis of G (its condensation, legal points and, under the
-    exhaustive predicate, its type-2 component) and the per-point tagging."""
-    if dense is None:
-        dense = Exhaustive(G.space.size)
-    cond = Condensation(G)
-    legal = _legal(cond)
+    """The per-point tagging, read from G's analysis."""
+    dense = _density(G, dense)
+    a = _analysis(G)
     exhaustive = isinstance(dense, Exhaustive)
-    source = _dense_chain_source(cond) if exhaustive else None
+    all_legal = len(a.legal) == G.space.size
 
     def tag(x: int) -> ClassificationTag:
-        if x not in legal:
+        if x not in a.legal:
             return ClassificationTag(Verdict.ILLEGAL)
-        if not dense.dense(reach(G, x) & legal):
-            return ClassificationTag(Verdict.INTRANSITIVE)
         if exhaustive:
-            t2: bool | None = cond.scc_of[x] == source
-            t1: bool | None = t2 and _trans1_exhaustive(G, x)
+            cover_dense = all_legal and a.cond.scc_of[x] == a.source
         else:
-            t2 = _trans2_bounded(G, x, dense, cond, search_budget)
-            t1 = _trans1_bounded(G, x, dense, search_budget) if t2 else (False if t2 is False else None)
+            cover_dense = dense.dense(reach(G, x) & a.legal)
+        if not cover_dense:
+            return ClassificationTag(Verdict.INTRANSITIVE)
+        t2, t1 = _dense_walks(G, a, x, dense, search_budget)
         unknown = {"certainty": Certainty.UNKNOWN_AT_HORIZON, "horizon": search_budget}
         if t1:
             return ClassificationTag(Verdict.TRANS1)
@@ -430,24 +428,6 @@ def oracle_classify(
         dense = Exhaustive(n)
     if not 0 <= x < n:
         raise ValueError("point outside the space")
-    point_legal = [_reaches_cycle(G, v) for v in range(n)]
-    if not point_legal[x]:
-        return ClassificationTag(Verdict.ILLEGAL)
-
-    # layered reach, recorded per depth for the grade
-    layers: list[frozenset] = [frozenset([x])]
-    while True:
-        nxt = layers[-1] | frozenset(
-            b for a in layers[-1] for b in G.successors(a)
-        )
-        if nxt == layers[-1]:
-            break
-        layers.append(nxt)
-    union = frozenset(v for v in layers[-1] if point_legal[v])
-    trans3 = dense.dense(union)
-    if not trans3:
-        return ClassificationTag(Verdict.INTRANSITIVE)
-
     def cycle_within(v: int, allowed: frozenset) -> bool:
         # iterative DFS detecting a reachable cycle inside `allowed`
         color: dict[int, int] = {}
@@ -469,6 +449,25 @@ def oracle_classify(
                 color[u] = 2
                 stack.pop()
         return False
+
+    everything = G.space.all_points()
+    point_legal = [cycle_within(v, everything) for v in range(n)]
+    if not point_legal[x]:
+        return ClassificationTag(Verdict.ILLEGAL)
+
+    # layered reach, recorded per depth for the grade
+    layers: list[frozenset] = [frozenset([x])]
+    while True:
+        nxt = layers[-1] | frozenset(
+            b for a in layers[-1] for b in G.successors(a)
+        )
+        if nxt == layers[-1]:
+            break
+        layers.append(nxt)
+    union = frozenset(v for v in layers[-1] if point_legal[v])
+    trans3 = dense.dense(union)
+    if not trans3:
+        return ClassificationTag(Verdict.INTRANSITIVE)
 
     start = (x, frozenset([x]))
     states = {start}
@@ -709,10 +708,10 @@ def minimal_dense_branch_cover(
     small; greedy upper bound otherwise, flagged UNKNOWN_AT_HORIZON unless it
     matches the structural lower bound.
     """
-    if dense is None:
-        dense = Exhaustive(G.space.size)
-    cond = Condensation(G)
-    if x not in _legal(cond):
+    dense = _density(G, dense)
+    a = _analysis(G)
+    cond = a.cond
+    if x not in a.legal:
         raise IllegalPointError(f"point {x} is illegal; branch covers need a legal start")
     start = cond.scc_of[x]
 

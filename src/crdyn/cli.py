@@ -57,6 +57,15 @@ def _load(path: str):
     return parse_document(text)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; call before printing, so a failure leaves stdout empty."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return parse_fraction(text)
@@ -212,14 +221,13 @@ def _cmd_tree(args) -> int:
         raise _UsageError("tree unfolding is defined for finite instances")
     x = _finite_point(relation, args.point)
     tree = build_tree(relation, x, args.depth)
+    if args.dot:
+        _write(args.dot, dot_export(tree))
     print(_header("tree", file=args.file, point=args.point, depth=args.depth))
     for level, members in enumerate(tree.levels):
         names = " ".join(relation.space.labels[p] for p in sorted(members))
         print(f"level {level}: {names}")
     if args.dot:
-        text = dot_export(tree)
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"dot written to {args.dot}")
     return 0
 
@@ -322,9 +330,7 @@ def _cmd_discretize(args) -> int:
     from .symbolic import discretize
 
     finite, predicate = discretize(relation, args.delta)
-    text = serialize_instance(finite, predicate)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(args.output, serialize_instance(finite, predicate))
     print(_header("discretize", file=args.file, delta=args.delta))
     print(f"boxes: {finite.space.size}  edges: {len(finite.edges)}  -> {args.output}")
     return 0

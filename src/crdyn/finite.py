@@ -49,9 +49,14 @@ class FiniteSpace:
 
 
 class FiniteRelation:
-    """A non-empty set of directed edges over a finite space."""
+    """A non-empty set of directed edges over a finite space.
 
-    __slots__ = ("space", "edges", "_succ", "_pred")
+    `_analysis` holds the relation's condensation analysis once
+    `crdyn.classify` has built it; a relation never changes, so the analysis
+    never goes stale, and it takes no part in equality, hashing or repr.
+    """
+
+    __slots__ = ("space", "edges", "_succ", "_pred", "_analysis")
 
     def __init__(self, space: FiniteSpace, edges: Iterable[tuple[int, int]]):
         edges = frozenset((int(a), int(b)) for a, b in edges)
@@ -70,6 +75,7 @@ class FiniteRelation:
             pred[b].append(a)
         self._succ = tuple(tuple(s) for s in succ)
         self._pred = tuple(tuple(p) for p in pred)
+        self._analysis = None
 
     def successors(self, point: int) -> tuple[int, ...]:
         return self._succ[point]

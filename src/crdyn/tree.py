@@ -11,16 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import (
-    Condensation,
-    _dense_chain_source,
-    _legal,
-    _trans1_bounded,
-    _trans1_exhaustive,
-    _trans2_bounded,
-    reach,
-)
-from .density import DensityPredicate, Exhaustive
+from .classify import Condensation, _analysis, _dense_walks, _density, _trans1_bounded, reach
+from .density import DensityPredicate
 from .finite import FiniteRelation, image
 
 
@@ -123,10 +115,10 @@ def _finite_branch_stats(G: FiniteRelation, x: int, cond: Condensation) -> tuple
 
 def tree_height(G: FiniteRelation, x: int) -> int | None:
     """Height of the full tree: None when infinite (legal root)."""
-    cond = Condensation(G)
-    if x in _legal(cond):
+    a = _analysis(G)
+    if x in a.legal:
         return None
-    _, longest = _finite_branch_stats(G, x, cond)
+    _, longest = _finite_branch_stats(G, x, a.cond)
     return longest or 0
 
 
@@ -139,31 +131,23 @@ def branch_summary(
     """Branch-based restatement of the classification of x.
 
     The cover of infinite branches is computed from cycle reachability; the
-    per-branch density booleans delegate to the classify decisions so that
-    one algorithm answers both views.
+    per-branch density booleans are the classify decisions, so that one
+    algorithm answers both views.
     """
-    if dense is None:
-        dense = Exhaustive(G.space.size)
-    cond = Condensation(G)
-    legal_pts = _legal(cond)
-    is_legal = x in legal_pts
-    cover = reach(G, x) & legal_pts
-    count, max_len = _finite_branch_stats(G, x, cond)
+    dense = _density(G, dense)
+    a = _analysis(G)
+    is_legal = x in a.legal
+    cover = reach(G, x) & a.legal
+    count, max_len = _finite_branch_stats(G, x, a.cond)
     cover_dense = bool(cover) and dense.dense(cover)
-    if not is_legal:
-        some_dense: bool | None = False
-        all_dense: bool | None = False
-    elif isinstance(dense, Exhaustive):
-        some_dense = cond.scc_of[x] == _dense_chain_source(cond)
-        all_dense = some_dense and _trans1_exhaustive(G, x)
-    else:
-        some_dense = _trans2_bounded(G, x, dense, cond, search_budget)
-        if some_dense is False:
-            all_dense = False
-        else:
-            all_dense = _trans1_bounded(G, x, dense, search_budget)
-            if all_dense and some_dense is None:
-                some_dense = True  # every branch dense and one exists
+    some_dense, all_dense = (
+        _dense_walks(G, a, x, dense, search_budget) if is_legal and cover_dense else (False, False)
+    )
+    if some_dense is None:
+        # the dense-walk search ran out; the lasso search may still settle both
+        all_dense = _trans1_bounded(G, x, dense, search_budget)
+        if all_dense:
+            some_dense = True  # every branch dense and one exists
     return BranchSummary(
         root=x,
         is_legal=is_legal,
@@ -185,7 +169,7 @@ def unique_branch(G: FiniteRelation, x: int) -> bool:
 
 def unique_infinite_branch(G: FiniteRelation, x: int) -> bool:
     """|infinite branches of T(x)| = 1, decided on the legal part of the reach set."""
-    legal_pts = _legal(Condensation(G))
+    legal_pts = _analysis(G).legal
     if x not in legal_pts:
         return False
     seen = {x}

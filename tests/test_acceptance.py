@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve criteria, each printing one pass/fail line.
+"""Acceptance gate: thirteen criteria, each printing one pass/fail line.
 
 Every tolerance and budget is pinned here; nothing is deferred to later
 calibration.  Runtime bounds are asserted with the wall clock.
@@ -16,6 +16,7 @@ from crdyn.classify import (
     Certainty,
     Verdict,
     characterization_suite,
+    classify_all,
     classify_point,
     do_transitive,
     oracle_classify,
@@ -51,7 +52,7 @@ from crdyn.tree import branch_summary, build_tree, dot_export, tree_height
 def _report(number: int, title: str, started: float, budget: float, failures: list):
     elapsed = time.time() - started
     status = "PASS" if not failures and elapsed < budget else "FAIL"
-    print(f"criterion {number:2d} [{status}] {title} ({elapsed:.2f}s / budget {budget:.0f}s)")
+    print(f"criterion {number:2d} [{status}] {title} ({elapsed:.2f}s / budget {budget:g}s)")
     assert not failures, failures[:5]
     assert elapsed < budget, f"runtime {elapsed:.2f}s exceeds {budget}s"
 
@@ -371,3 +372,25 @@ def test_criterion_12_cli_and_gallery(tmp_path):
     if dot_export(tree) != dot_export(build_tree(fse1.relation, 0, 3)):
         failures.append("in-process DOT not stable")
     _report(12, "gallery round-trips, run-all green, DOT byte-stable", t0, 30.0, failures)
+
+
+def test_criterion_13_linear_classification_of_paths_and_cycles():
+    n = 5000
+    failures = []
+    path = rel([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1)])
+    cycle = rel([str(i) for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+    t0 = time.time()
+    tags = classify_all(path)
+    path_s = time.time() - t0
+    if tags[0].verdict is not Verdict.TRANS1 or tags[0].certainty is not Certainty.CERTIFIED:
+        failures.append(f"path head tagged {tags[0]}")
+    failures += [f"path point {x} tagged {t}" for x, t in enumerate(tags[1:], 1)
+                 if t.verdict is not Verdict.INTRANSITIVE]
+    t1 = time.time()
+    tags = classify_all(cycle)
+    cycle_s = time.time() - t1
+    failures += [f"cycle point {x} tagged {t}" for x, t in enumerate(tags)
+                 if t.verdict is not Verdict.TRANS1 or t.certainty is not Certainty.CERTIFIED]
+    if max(path_s, cycle_s) >= 0.5:
+        failures.append(f"path {path_s:.2f}s, cycle {cycle_s:.2f}s: each must stay under 0.5s")
+    _report(13, "classify_all on 5,000-point paths and cycles", t0, 1.0, failures)

@@ -313,3 +313,51 @@ class TestEpsNetClassification:
                 fast = classify_point(G, x, net)
                 slow = oracle_classify(G, x, net)
                 assert fast == slow, (G, x, net.eps)
+
+
+class TestPredicateSizedForTheSpace:
+    """A density predicate sized for another space is refused, not misread."""
+
+    G = rel(["a", "b"], [(0, 1), (1, 1)])
+
+    def _nets(self):
+        sp = Space1D(intervals=[(0, 1)])
+        return [EpsNet(sp, [(F(k, m), F(k + 1, m)) for k in range(m)], F(1, 4)) for m in (1, 3)]
+
+    def test_wrong_exhaustive_size(self):
+        from crdyn.classify import classify_all
+        from crdyn.density import Exhaustive
+        from crdyn.tree import branch_summary
+
+        for size in (1, 3):
+            with pytest.raises(ValueError, match="sized for"):
+                classify_all(self.G, Exhaustive(size))
+            with pytest.raises(ValueError, match="sized for"):
+                classify_point(self.G, 0, Exhaustive(size))
+            with pytest.raises(ValueError, match="sized for"):
+                branch_summary(self.G, 0, Exhaustive(size))
+            with pytest.raises(ValueError, match="sized for"):
+                minimal_dense_branch_cover(self.G, 0, Exhaustive(size))
+
+    def test_wrong_extent_count(self):
+        from crdyn.classify import classify_all
+        from crdyn.tree import branch_summary
+
+        for net in self._nets():
+            for call in (
+                lambda: classify_all(self.G, net),
+                lambda: classify_point(self.G, 1, net),
+                lambda: branch_summary(self.G, 0, net),
+                lambda: minimal_dense_branch_cover(self.G, 0, net),
+            ):
+                with pytest.raises(ValueError, match="sized for"):
+                    call()
+
+    def test_matching_sizes_are_accepted(self):
+        from crdyn.classify import classify_all
+        from crdyn.density import Exhaustive
+
+        sp = Space1D(intervals=[(0, 1)])
+        net = EpsNet(sp, [(0, F(1, 2)), (F(1, 2), 1)], F(1, 4))
+        assert classify_all(self.G, Exhaustive(2)) == classify_all(self.G)
+        assert [t.verdict for t in classify_all(self.G, net)] == [Verdict.TRANS1, Verdict.INTRANSITIVE]

@@ -189,6 +189,35 @@ class TestDiscretize:
         assert code == 2
 
 
+class TestOutputFiles:
+    """An output file that cannot be written ends the run before any report."""
+
+    @pytest.mark.parametrize("argv", [
+        ("tree", "fse1", "--point", "1", "--depth", "2", "--dot"),
+        ("discretize", "ex1", "--delta", "1/4", "-o"),
+    ])
+    def test_unwritable_output_exits_two_with_one_line(self, docs, tmp_path, argv):
+        cmd, name, *rest = argv
+        for target in (tmp_path / "missing" / "out.txt", tmp_path):
+            code, out, err = run_cli(cmd, docs[name], *rest, str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot write {target}")
+            assert len(err.splitlines()) == 1
+
+    def test_report_follows_the_written_file(self, docs, tmp_path):
+        dot = tmp_path / "t.dot"
+        code, out, _ = run_cli("tree", docs["fse1"], "--point", "1", "--depth", "1", "--dot", str(dot))
+        assert code == 0
+        assert out.splitlines()[-1] == f"dot written to {dot}"
+        assert dot.read_text(encoding="utf-8").startswith("digraph transitivity_tree {")
+        disc = tmp_path / "d.json"
+        code, out, _ = run_cli("discretize", docs["ex1"], "--delta", "1/4", "-o", str(disc))
+        assert code == 0
+        assert out.splitlines()[-1].endswith(f"-> {disc}")
+        assert json.loads(disc.read_text(encoding="utf-8"))["density"]["eps"] == "1/4"
+
+
 class TestGallery:
     def test_list(self):
         code, out, _ = run_cli("gallery", "list")

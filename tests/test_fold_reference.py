@@ -124,8 +124,27 @@ def ref_can_reach_live(cond):
     return tuple(out)
 
 
+def ref_unique_topological_order(cond):
+    indeg = [0] * cond.count
+    for c in range(cond.count):
+        for d in cond.dag_succ[c]:
+            indeg[d] += 1
+    sources = [c for c in range(cond.count) if indeg[c] == 0]
+    order = []
+    while sources:
+        if len(sources) != 1:
+            return None
+        c = sources.pop()
+        order.append(c)
+        for d in cond.dag_succ[c]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                sources.append(d)
+    return order
+
+
 def ref_trans2_exhaustive(x, cond):
-    order = cond.unique_topological_order()
+    order = ref_unique_topological_order(cond)
     if order is None or order[0] != cond.scc_of[x]:
         return False
     for c, d in zip(order, order[1:]):
