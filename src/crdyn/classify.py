@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .density import DensityPredicate, EpsNet, Exhaustive
+from .density import DensityPredicate, Exhaustive
 from .finite import FiniteRelation, Walk, inverse_relation
 
 OMEGA = None  # sentinel accepted by reach() for the stabilized variant
@@ -69,10 +69,33 @@ class ClassificationTag:
 # graph plumbing
 
 
+def _reaches_cycle(G: FiniteRelation, start: int, allowed: frozenset | None = None) -> bool:
+    """Does some walk from `start` reach a cycle, moving only to `allowed` vertices?"""
+    color = {start: 1}  # 1 = on stack, 2 = done
+    stack = [(start, iter(G.successors(start)))]
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for w in it:
+            if allowed is not None and w not in allowed:
+                continue
+            c = color.get(w)
+            if c == 1:
+                return True
+            if c is None:
+                color[w] = 1
+                stack.append((w, iter(G.successors(w))))
+                advanced = True
+                break
+        if not advanced:
+            color[v] = 2
+            stack.pop()
+    return False
+
+
 def legal_by_cycle_reach(G: FiniteRelation) -> frozenset:
-    """Independent legality route: a point is legal iff it reaches a cycle,
-    i.e. iff it survives peeling the successor-free points."""
-    return frozenset(_infinite_starts(G, G.space.all_points()))
+    """Independent legality route: a point is legal iff it reaches a cycle."""
+    return frozenset(x for x in range(G.space.size) if _reaches_cycle(G, x))
 
 
 class Condensation:
@@ -286,7 +309,7 @@ def orbit_union(G: FiniteRelation, x: int) -> frozenset:
 def _density(G: FiniteRelation, dense: DensityPredicate | None) -> DensityPredicate:
     """`dense`, or G's exhaustive predicate for None; one sized for another space is refused."""
     n = G.space.size
-    size = len(dense.extents) if isinstance(dense, EpsNet) else getattr(dense, "size", n)
+    size = getattr(dense, "size", n)
     if size != n:
         raise ValueError(f"{dense!r} is sized for {size} points, the space has {n}")
     return Exhaustive(n) if dense is None else dense
@@ -428,30 +451,7 @@ def oracle_classify(
         dense = Exhaustive(n)
     if not 0 <= x < n:
         raise ValueError("point outside the space")
-    def cycle_within(v: int, allowed: frozenset) -> bool:
-        # iterative DFS detecting a reachable cycle inside `allowed`
-        color: dict[int, int] = {}
-        stack = [(v, iter([w for w in G.successors(v) if w in allowed]))]
-        color[v] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                c = color.get(w)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[w] = 1
-                    stack.append((w, iter([z for z in G.successors(w) if z in allowed])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                stack.pop()
-        return False
-
-    everything = G.space.all_points()
-    point_legal = [cycle_within(v, everything) for v in range(n)]
+    point_legal = [_reaches_cycle(G, v) for v in range(n)]
     if not point_legal[x]:
         return ClassificationTag(Verdict.ILLEGAL)
 
@@ -479,7 +479,7 @@ def oracle_classify(
         if dense.dense(S):
             if point_legal[v]:
                 trans2 = True
-        elif cycle_within(v, S):
+        elif _reaches_cycle(G, v, S):
             trans1 = False
         for w in G.successors(v):
             nxt = (w, S | {w})

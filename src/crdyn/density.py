@@ -61,6 +61,10 @@ class EpsNet:
         rank = {v: k for k, v in enumerate(self._values)}
         self._ranks = [(rank[lo], rank[hi]) for lo, hi in pieces]
 
+    @property
+    def size(self) -> int:
+        return len(self.extents)  # one extent per point
+
     def with_eps(self, eps) -> "EpsNet":
         return EpsNet(self.space, self.extents, eps)
 

@@ -10,6 +10,7 @@ branch summaries, and the type-1 rule must agree with the brute-force oracle.
 """
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -26,9 +27,10 @@ from crdyn.classify import (
     reach,
     reach_grade,
 )
-from crdyn.density import Exhaustive
+from crdyn.density import EpsNet, Exhaustive
 from crdyn.finite import FiniteRelation
 from crdyn.io import parse_document
+from crdyn.region import Space1D
 from crdyn.tree import BranchSummary, _finite_branch_stats, branch_summary
 from test_fold_reference import (
     DATA,
@@ -227,6 +229,20 @@ class TestAgainstReference:
             got = [branch_summary(G, x, dense) for x in range(n)]
             assert got == [ref_branch_summary(G, x, dense) for x in range(n)]
             assert list(map(repr, got)) == [repr(ref_branch_summary(G, x, dense)) for x in range(n)]
+
+    def test_budget_limited_net_with_a_sparse_cover(self):
+        # a loops and steps to the dead end b: the cone {a, b} is dense, the
+        # cover {a} is not.  The reference searched the cone and ran out of a
+        # one-node budget; every infinite walk stays in the cover, so no walk
+        # is dense and the summary now says so.
+        G = relation(2, [(0, 0), (0, 1)])
+        net = EpsNet(Space1D(intervals=[(0, 1)]), [(0, F(1, 2)), (F(1, 2), 1)], F(1, 8))
+        ref = ref_branch_summary(G, 0, net, search_budget=1)
+        assert (ref.exists_infinite_dense_branch, ref.all_infinite_branches_dense) == (None, False)
+        got = branch_summary(G, 0, net, search_budget=1)
+        assert not got.cover_dense
+        assert (got.exists_infinite_dense_branch, got.all_infinite_branches_dense) == (False, False)
+        assert got == BranchSummary(**{**ref.__dict__, "exists_infinite_dense_branch": False})
 
 
 class TestCachedAnalysis:

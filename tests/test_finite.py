@@ -20,7 +20,7 @@ from crdyn.finite import (
     preimage,
     walks_from,
 )
-from crdyn.classify import legal_by_cycle_reach
+from crdyn.classify import _reaches_cycle
 from crdyn.region import Space1D
 
 
@@ -167,7 +167,10 @@ class TestLegal:
     def test_equals_cycle_reachability_on_random(self, rng):
         for _ in range(500):
             G = make_random_relation(rng)
-            assert legal_set(G) == legal_by_cycle_reach(G)
+            by_cycles = frozenset(
+                x for x in range(G.space.size) if _reaches_cycle(G, x)
+            )
+            assert legal_set(G) == by_cycles
 
     def test_main1_triple_equivalence_on_random(self, rng):
         for _ in range(500):
