@@ -73,13 +73,10 @@ def map_value(segments: list[Segment], t) -> Fraction:
     """Evaluate a single-valued piecewise-linear graph at t."""
     t = _as_fraction(t)
     values = set()
-    for seg in segments:
-        lo, hi = seg.x_extent()
-        if lo <= t <= hi:
-            if seg.x1 == seg.x2:
-                raise ValueError("vertical segment: not a function graph")
-            slope = (seg.y2 - seg.y1) / (seg.x2 - seg.x1)
-            values.add(seg.y1 + (t - seg.x1) * slope)
+    for ylo, yhi in filter(None, (seg.image_over(t, t) for seg in segments)):
+        if ylo != yhi:
+            raise ValueError("vertical segment: not a function graph")
+        values.add(ylo)
     if len(values) != 1:
         raise ValueError(f"map is not single-valued at {t}: {sorted(values)}")
     return values.pop()

@@ -32,8 +32,8 @@ from .symbolic import (
     SymbolicRelation,
     bounded_walk_search,
     grid_transitivity_check,
+    is_total,
     nondense_loop_search,
-    projections,
     sym_image,
     sym_reach_chain,
 )
@@ -161,9 +161,7 @@ def _cmd_classify(args) -> int:
 
 def _symbolic_point_rows(R: SymbolicRelation, x: Fraction, eps: Fraction, horizon: int):
     rows = []
-    p1, _ = projections(R)
-    total = p1.contains_region(R.space.region())
-    if total:
+    if is_total(R):
         rows.append(("legal", "certified", "every point has a successor"))
         legal = True
     else:

@@ -32,7 +32,12 @@ from .region import (
 
 @dataclass(frozen=True)
 class Segment:
-    """Closed planar segment; may be vertical, horizontal, or sloped."""
+    """Closed planar segment; may be vertical, horizontal, or sloped.
+
+    The endpoints sorted by x and the slope (None when vertical) are computed
+    once and kept outside the dataclass fields, so equality, hashing and repr
+    see only the four coordinates.
+    """
 
     x1: Fraction
     y1: Fraction
@@ -44,12 +49,28 @@ class Segment:
             object.__setattr__(self, f, _as_fraction(getattr(self, f)))
         if (self.x1, self.y1) == (self.x2, self.y2):
             raise ValueError("degenerate segment; use SinglePoint")
+        (ax, ay), (bx, by) = sorted(((self.x1, self.y1), (self.x2, self.y2)))
+        slope = None if ax == bx else (by - ay) / (bx - ax)
+        object.__setattr__(self, "_line", (ax, ay, bx, by, slope))
 
     def x_extent(self) -> tuple[Fraction, Fraction]:
-        return (min(self.x1, self.x2), max(self.x1, self.x2))
+        ax, _, bx, _, _ = self._line
+        return (ax, bx)
 
     def y_extent(self) -> tuple[Fraction, Fraction]:
         return (min(self.y1, self.y2), max(self.y1, self.y2))
+
+    def image_over(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+        """Image interval of the x-window [lo, hi], or None when they miss."""
+        ax, ay, bx, by, slope = self._line
+        c, d = max(ax, lo), min(bx, hi)
+        if c > d:
+            return None
+        if slope is None:
+            return (ay, by)  # vertical: sorted endpoints put the lower y first
+        yc = ay + (c - ax) * slope
+        yd = ay + (d - ax) * slope
+        return (yc, yd) if slope >= 0 else (yd, yc)
 
     def mirrored(self) -> "Segment":
         return Segment(self.y1, self.x1, self.y2, self.x2)
@@ -57,12 +78,23 @@ class Segment:
 
 @dataclass(frozen=True)
 class SinglePoint:
+    """One point of the relation: a degenerate run whose image is a single value."""
+
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_fraction(self.x))
         object.__setattr__(self, "y", _as_fraction(self.y))
+
+    def x_extent(self) -> tuple[Fraction, Fraction]:
+        return (self.x, self.x)
+
+    def y_extent(self) -> tuple[Fraction, Fraction]:
+        return (self.y, self.y)
+
+    def image_over(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+        return (self.y, self.y) if lo <= self.x <= hi else None
 
     def mirrored(self) -> "SinglePoint":
         return SinglePoint(self.y, self.x)
@@ -82,12 +114,8 @@ class SymbolicRelation:
             raise ValueError("relations are non-empty by definition")
         region = space.region()
         for prim in primitives:
-            if isinstance(prim, Segment):
-                px = Region1D.interval(*prim.x_extent())
-                py = Region1D.interval(*prim.y_extent())
-            else:
-                px = Region1D.point(prim.x)
-                py = Region1D.point(prim.y)
+            px = Region1D.interval(*prim.x_extent())
+            py = Region1D.interval(*prim.y_extent())
             if not region.contains_region(px) or not region.contains_region(py):
                 raise ValueError(f"primitive {prim} leaves the space")
         self.space = space
@@ -104,36 +132,14 @@ class SymbolicRelation:
 # images and reach
 
 
-def _segment_image_over(seg: Segment, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Image interval of the x-window [lo, hi] under one segment, or None."""
-    if seg.x1 == seg.x2:
-        if lo <= seg.x1 <= hi:
-            return seg.y_extent()
-        return None
-    (ax, ay), (bx, by) = ((seg.x1, seg.y1), (seg.x2, seg.y2))
-    if ax > bx:
-        ax, ay, bx, by = bx, by, ax, ay
-    c, d = max(ax, lo), min(bx, hi)
-    if c > d:
-        return None
-    slope = (by - ay) / (bx - ax)
-    yc = ay + (c - ax) * slope
-    yd = ay + (d - ax) * slope
-    return (min(yc, yd), max(yc, yd))
-
-
 def sym_image(R: SymbolicRelation, A: Region1D) -> Region1D:
     """Exact one-step image of a region."""
     pieces = []
     for prim in R.primitives:
         for lo, hi in A.pieces:
-            if isinstance(prim, Segment):
-                got = _segment_image_over(prim, lo, hi)
-                if got is not None:
-                    pieces.append(got)
-            else:
-                if lo <= prim.x <= hi:
-                    pieces.append((prim.y, prim.y))
+            got = prim.image_over(lo, hi)
+            if got is not None:
+                pieces.append(got)
     return Region1D(pieces)
 
 
@@ -144,15 +150,8 @@ def sym_preimage(R: SymbolicRelation, A: Region1D) -> Region1D:
 
 def projections(R: SymbolicRelation) -> tuple[Region1D, Region1D]:
     """(p1, p2): exact first and second coordinate projections."""
-    xs, ys = [], []
-    for prim in R.primitives:
-        if isinstance(prim, Segment):
-            xs.append(prim.x_extent())
-            ys.append(prim.y_extent())
-        else:
-            xs.append((prim.x, prim.x))
-            ys.append((prim.y, prim.y))
-    return Region1D(xs), Region1D(ys)
+    prims = R.primitives
+    return Region1D([p.x_extent() for p in prims]), Region1D([p.y_extent() for p in prims])
 
 
 def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
@@ -272,13 +271,9 @@ def discretize(
     labels = [f"b{i}" for i in range(len(cells))]
     edges = set()
     for prim in R.primitives:
-        if isinstance(prim, Segment):
-            for i in _meeting(cells, *prim.x_extent()):
-                ylo, yhi = _segment_image_over(prim, *cells[i])
-                edges.update((i, j) for j in _meeting(cells, ylo, yhi))
-        else:
-            for i in _meeting(cells, prim.x, prim.x):
-                edges.update((i, j) for j in _meeting(cells, prim.y, prim.y))
+        for i in _meeting(cells, *prim.x_extent()):
+            ylo, yhi = prim.image_over(*cells[i])
+            edges.update((i, j) for j in _meeting(cells, ylo, yhi))
     space = FiniteSpace(labels)
     finite = FiniteRelation(space, edges)
     predicate = EpsNet(R.space, cells, delta)
@@ -292,21 +287,22 @@ def discretize(
 def point_successors(
     R: SymbolicRelation, p: Fraction
 ) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """(single-valued images, interval-valued choice ranges) at an exact point."""
+    """(single-valued images, interval-valued choice ranges) at an exact point.
+
+    A degenerate image of the window [p, p] is a single successor; any other
+    (a vertical segment at p) is a range to choose from.
+    """
     p = _as_fraction(p)
     singles: list[Fraction] = []
     ranges: list[tuple[Fraction, Fraction]] = []
     for prim in R.primitives:
-        if isinstance(prim, SinglePoint):
-            if prim.x == p:
-                singles.append(prim.y)
-        elif prim.x1 == prim.x2:
-            if prim.x1 == p:
-                ranges.append(prim.y_extent())
+        got = prim.image_over(p, p)
+        if got is None:
+            continue
+        if got[0] == got[1]:
+            singles.append(got[0])
         else:
-            got = _segment_image_over(prim, p, p)
-            if got is not None:
-                singles.append(got[0])
+            ranges.append(got)
     # dedupe, stable ascending
     singles = sorted(set(singles))
     return singles, ranges
@@ -465,23 +461,6 @@ def bounded_walk_search(
     return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, farthest_last))
 
 
-@dataclass(frozen=True)
-class LoopSearchResult:
-    """A walk revisiting a point while its orbit is still not an eps-net.
-
-    Such a walk extends to a periodic infinite walk with the same orbit, so a
-    find certifies that not every infinite walk from the start is eps-dense.
-    """
-
-    status: str  # "found" / "exhausted" / "budget"
-    witness: tuple[Fraction, ...] | None
-    nodes: int
-
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
-
 def nondense_loop_search(
     R: SymbolicRelation,
     x,
@@ -489,9 +468,11 @@ def nondense_loop_search(
     horizon: int,
     choice_step=None,
     budget: int = 100000,
-) -> LoopSearchResult:
+) -> WalkSearchResult:
     """Search for a walk from x that revisits a point before its orbit is an eps-net.
 
+    Such a walk extends to a periodic infinite walk with the same orbit, so a
+    find certifies that not every infinite walk from the start is eps-dense.
     Every popped state counts as a node, memo hits included.  As in
     bounded_walk_search, the orbit is an OrbitCover: O(log h) comparisons per
     node for the density test, plus an O(h) tuple copy.
@@ -504,7 +485,7 @@ def nondense_loop_search(
         # expanded walks never repeat a point, so a repeat is the last step
         return walk if len(orbit) < len(walk) else None
 
-    return LoopSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, memo_first=False))
+    return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, memo_first=False))
 
 
 @dataclass(frozen=True)

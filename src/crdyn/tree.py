@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Condensation, _analysis, _dense_walks, _density, _trans1_bounded, reach
+from .classify import Condensation, _analysis, _dense_walks, _density, reach
 from .density import DensityPredicate
 from .finite import FiniteRelation, image
 
@@ -143,11 +143,6 @@ def branch_summary(
     some_dense, all_dense = (
         _dense_walks(G, a, x, dense, search_budget) if is_legal and cover_dense else (False, False)
     )
-    if some_dense is None:
-        # the dense-walk search ran out; the lasso search may still settle both
-        all_dense = _trans1_bounded(G, x, dense, search_budget)
-        if all_dense:
-            some_dense = True  # every branch dense and one exists
     return BranchSummary(
         root=x,
         is_legal=is_legal,

@@ -300,6 +300,28 @@ class TestEpsNetClassification:
         assert tag.certainty is Certainty.UNKNOWN_AT_HORIZON
         assert tag.verdict is Verdict.TRANS3
 
+    def test_lasso_search_settles_an_exhausted_dense_walk_search(self):
+        # the dense-walk search runs out at these budgets, but the lasso
+        # search finds every walk dense; tag and branch summary say so alike
+        from crdyn.classify import classify_all
+        from crdyn.tree import branch_summary
+
+        sp, cells = self._geometry()
+        G = rel(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 3)])
+        net = EpsNet(sp, cells, F(1, 4))
+        unknown = ClassificationTag(Verdict.TRANS3, certainty=Certainty.UNKNOWN_AT_HORIZON, horizon=1)
+        for budget in (1, 2, 3):
+            tags = classify_all(G, net, search_budget=budget)
+            oracle = [oracle_classify(G, x, net) for x in range(4)]
+            assert tags == (oracle if budget > 1 else [unknown] + oracle[1:]), budget
+            for x, tag in enumerate(tags):
+                s = branch_summary(G, x, net, search_budget=budget)
+                decided = tag.certainty is Certainty.CERTIFIED
+                assert s.all_infinite_branches_dense == (tag.verdict is Verdict.TRANS1 if decided else None)
+                assert s.exists_infinite_dense_branch == (
+                    tag.verdict in (Verdict.TRANS1, Verdict.TRANS2) if decided else None
+                )
+
     def test_oracle_agrees_under_nets(self, rng):
         sp = Space1D(intervals=[(0, 1)])
         for _ in range(120):

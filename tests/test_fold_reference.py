@@ -396,11 +396,17 @@ class TestFiniteAgainstReference:
                 assert classify_all(G, dense) == [classify_point(G, x, dense) for x in range(n)]
 
     def test_budget_limited_tags(self):
+        # every tag the reference certifies is kept; where the reference ran
+        # out of budget, the lasso fallback may certify the oracle's tag
         G = relation(4, [(0, 1), (1, 2), (2, 3), (3, 3)])
         net = unit_net(4, F(1, 4))
         for budget in (1, 2, 3, 50):
-            want = [ref_classify_point(G, x, net, budget) for x in range(4)]
-            assert classify_all(G, net, budget) == want
+            for x, got in enumerate(classify_all(G, net, budget)):
+                want = ref_classify_point(G, x, net, budget)
+                if want.certainty is Certainty.CERTIFIED or got.certainty is not Certainty.CERTIFIED:
+                    assert got == want, (budget, x)
+                else:
+                    assert got == oracle_classify(G, x, net), (budget, x)
 
     def test_reach_chain_and_grade(self):
         rng = random.Random(46)

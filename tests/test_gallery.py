@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from crdyn import gallery
 from crdyn.io import parse_instance, serialize_instance
+
+
+GOLDEN_RUN_ALL = Path(__file__).resolve().parent / "golden" / "gallery_run_all.txt"
 
 
 def rows_for(name, **params):
@@ -78,6 +82,8 @@ class TestRunAll:
         assert not bad, bad
         # the corpus records some claims as horizon-limited on purpose
         assert any(r.status == "unknown-expected" for r in results)
+        # the report, node counts included, is byte-identical to the checked-in one
+        assert gallery.gallery_report_lines(results) == GOLDEN_RUN_ALL.read_text().splitlines()
 
     def test_filter(self):
         results = gallery.run_all("fse*")

@@ -14,7 +14,6 @@ import pytest
 from crdyn import gallery
 from crdyn.region import OrbitCover, Region1D, Space1D, eps_dense
 from crdyn.symbolic import (
-    LoopSearchResult,
     SymbolicRelation,
     WalkSearchResult,
     bounded_walk_search,
@@ -63,11 +62,11 @@ def reference_loop_search(R, x, eps, horizon, budget):
         walk, orbit = stack.pop()
         nodes += 1
         if nodes > budget:
-            return LoopSearchResult("budget", None, nodes)
+            return WalkSearchResult("budget", None, nodes)
         if eps_dense(R.space, Region1D.from_points(orbit), eps):
             continue
         if len(walk) > 1 and walk[-1] in walk[:-1]:
-            return LoopSearchResult("found", walk, nodes)
+            return WalkSearchResult("found", walk, nodes)
         used = len(walk) - 1
         key = (walk[-1], orbit)
         prev = best.get(key)
@@ -78,7 +77,7 @@ def reference_loop_search(R, x, eps, horizon, budget):
             continue
         for v in sorted(successor_choices(R, walk[-1], step), reverse=True):
             stack.append((walk + (v,), orbit | {v}))
-    return LoopSearchResult("exhausted", None, nodes)
+    return WalkSearchResult("exhausted", None, nodes)
 
 
 # ---------------------------------------------------------------------------
