@@ -399,7 +399,7 @@ def _tagger(
         if exhaustive:
             cover_dense = all_legal and a.cond.scc_of[x] == a.source
         else:
-            cover_dense = dense.dense(reach(G, x) & a.legal)
+            cover_dense = dense.dense(orbit_union(G, x))
         if not cover_dense:
             return ClassificationTag(Verdict.INTRANSITIVE)
         t2, t1 = _dense_walks(G, a, x, dense, search_budget)
@@ -520,6 +520,9 @@ _RANK = {
 
 
 def _member(tag: ClassificationTag, level: int) -> tuple[bool | None, Certainty]:
+    """Type-`level` membership read from a tag; the one check of the level."""
+    if level not in (1, 2, 3):
+        raise ValueError("level must be 1, 2, or 3")
     rank = _RANK[tag.verdict]
     if rank <= level:
         return True, Certainty.CERTIFIED
@@ -559,11 +562,13 @@ class BranchCoverResult:
     """Minimal number of walk prefixes whose orbit union is dense.
 
     size is None when no cover was found; certainty distinguishes a certified
-    minimum (or certified impossibility) from a horizon-limited bound.
+    minimum (or certified impossibility) from a horizon-limited bound.  The
+    witnesses are `Walk`s on a finite relation and exact point tuples on an
+    interval relation.
     """
 
     size: int | None
-    witnesses: tuple[Walk, ...]
+    witnesses: tuple
     horizon: int
     certainty: Certainty
 
@@ -640,20 +645,22 @@ def _touring_walk(G: FiniteRelation, x: int, comp_path: list[int], cond: Condens
     return walk, False
 
 
-def _min_cover(candidates: list[tuple[frozenset, tuple[int, ...]]], dense: DensityPredicate) -> tuple[int, list[int]] | None:
+def _min_cover(
+    candidates: list[tuple[frozenset, tuple]], dense: Callable[[frozenset], bool]
+) -> tuple[int, list[int]] | None:
     """Exact minimum subset of candidate orbit sets with a dense union.
 
+    `dense` is a monotone test of an orbit union; both backends pass theirs.
     Candidates are (orbit set, walk) pairs, already sorted by walk; ties are
     broken toward lexicographically smallest witness tuples because
-    itertools.combinations scans in index order.  Dominated candidates (orbit
-    a subset of an earlier candidate's orbit) are skipped, and mandatory
-    candidates (sole owner of some point needed for density) are forced, so
-    the combination search only runs on the small residual.
+    itertools.combinations scans in index order.  Mandatory candidates (sole
+    owner of some point needed for density) are in every dense sub-family, so
+    they are forced and the combination search only runs on the residual.
     """
     if not candidates:
         return None
     everything = frozenset().union(*(s for s, _ in candidates))
-    if not dense.dense(everything):
+    if not dense(everything):
         return None
     # forced picks: candidates owning a point exclusively, when dropping that
     # point breaks density
@@ -661,16 +668,16 @@ def _min_cover(candidates: list[tuple[frozenset, tuple[int, ...]]], dense: Densi
     for i, (s, _) in enumerate(candidates):
         others = [t for j, (t, _) in enumerate(candidates) if j != i]
         exclusive = s - frozenset().union(*others) if others else s
-        if exclusive and not dense.dense(everything - exclusive):
+        if exclusive and not dense(everything - exclusive):
             forced.append(i)
     base = frozenset().union(*(candidates[i][0] for i in forced)) if forced else frozenset()
-    if forced and dense.dense(base):
+    if forced and dense(base):
         return len(forced), forced
     rest = [i for i in range(len(candidates)) if i not in forced]
     for extra in range(1, len(rest) + 1):
         for combo in itertools.combinations(rest, extra):
             union = base.union(*(candidates[i][0] for i in combo))
-            if dense.dense(union):
+            if dense(union):
                 return len(forced) + extra, sorted(forced + list(combo))
     return None
 
@@ -770,7 +777,7 @@ def minimal_dense_branch_cover(
     if len(deduped) > max_candidates:
         raise BudgetExceededError("too many distinct orbit candidates for exact cover search")
 
-    achieved = _min_cover(deduped, dense)
+    achieved = _min_cover(deduped, dense.dense)
     if achieved is None:
         if not dense.dense(frozenset().union(*ideal)):
             # even unbounded walks cannot cover: certified impossible
@@ -780,9 +787,7 @@ def minimal_dense_branch_cover(
     witnesses = tuple(Walk(deduped[i][1], G) for i in picked)
     if not any_truncated:
         return BranchCoverResult(size, witnesses, horizon, Certainty.CERTIFIED)
-    lower = _min_cover(
-        [(s, (i,)) for i, s in enumerate(ideal)], dense
-    )
+    lower = _min_cover([(s, (i,)) for i, s in enumerate(ideal)], dense.dense)
     if lower is not None and lower[0] == size:
         return BranchCoverResult(size, witnesses, horizon, Certainty.CERTIFIED)
     return BranchCoverResult(size, witnesses, horizon, Certainty.UNKNOWN_AT_HORIZON)
@@ -799,8 +804,6 @@ def do_transitive(
 
     Returns None when every membership at level k came back undecided.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2, or 3")
     answers = {_member(tag, k)[0] for tag in classify_all(G, dense)}
     if True in answers:
         return True

@@ -277,24 +277,18 @@ def _cmd_transitive(args) -> int:
 def _cmd_reach(args) -> int:
     relation, _ = _load(args.file)
     if isinstance(relation, FiniteRelation):
-        x = _finite_point(relation, args.point)
-        chain = reach_chain(relation, x, args.steps)
-        print(_header("reach", file=args.file, point=args.point))
-        stabilized = len(chain) >= 2 and chain[-1] == chain[-2]
-        shown = chain[:-1] if stabilized else chain
-        for n, members in enumerate(shown):
-            names = " ".join(relation.space.labels[p] for p in sorted(members))
-            print(f"step {n}: {names}")
-        print(f"stabilized: {str(stabilized).lower()}")
-        return 0
-    x = _fraction_arg(args.point)
-    steps = args.steps if args.steps is not None else DEFAULT_HORIZON
-    chain = sym_reach_chain(relation, Region1D.point(x), steps)
-    print(_header("reach", file=args.file, point=args.point, steps=steps))
+        chain = reach_chain(relation, _finite_point(relation, args.point), args.steps)
+        header = _header("reach", file=args.file, point=args.point)
+        rows = [" ".join(relation.space.labels[p] for p in sorted(members)) for members in chain]
+    else:
+        steps = args.steps if args.steps is not None else DEFAULT_HORIZON
+        chain = sym_reach_chain(relation, Region1D.point(_fraction_arg(args.point)), steps)
+        header = _header("reach", file=args.file, point=args.point, steps=steps)
+        rows = [repr(region) for region in chain]
+    print(header)
     stabilized = len(chain) >= 2 and chain[-1] == chain[-2]
-    shown = chain[:-1] if stabilized else chain
-    for n, region in enumerate(shown):
-        print(f"step {n}: {region!r}")
+    for n, row in enumerate(rows[:-1] if stabilized else rows):
+        print(f"step {n}: {row}")
     print(f"stabilized: {str(stabilized).lower()}")
     return 0
 

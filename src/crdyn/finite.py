@@ -123,32 +123,28 @@ def inverse_relation(G: FiniteRelation) -> FiniteRelation:
     return FiniteRelation(G.space, ((b, a) for a, b in G.edges))
 
 
-def image(G: FiniteRelation, A: frozenset, n: int = 1) -> frozenset:
-    """n-step forward image; image(G, A, 0) == A."""
+def _steps(G: FiniteRelation, A: frozenset, n: int, neighbours) -> frozenset:
+    """n steps from A, each to the `neighbours` (successors or predecessors) of the last."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if not A <= G.space.all_points():
         raise ValueError("A is not a subset of the space")
     current = frozenset(A)
     for _ in range(n):
-        current = frozenset(b for a in current for b in G.successors(a))
+        current = frozenset(w for v in current for w in neighbours(v))
         if not current:
             break
     return current
+
+
+def image(G: FiniteRelation, A: frozenset, n: int = 1) -> frozenset:
+    """n-step forward image; image(G, A, 0) == A."""
+    return _steps(G, A, n, G.successors)
 
 
 def preimage(G: FiniteRelation, A: frozenset, n: int = 1) -> frozenset:
     """n-step backward image, i.e. the forward image under the inverse."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not A <= G.space.all_points():
-        raise ValueError("A is not a subset of the space")
-    current = frozenset(A)
-    for _ in range(n):
-        current = frozenset(a for b in current for a in G.predecessors(b))
-        if not current:
-            break
-    return current
+    return _steps(G, A, n, G.predecessors)
 
 
 def _stabilized_chain(G: FiniteRelation, forward: bool) -> frozenset:

@@ -185,6 +185,14 @@ def _parse_density(doc, relation) -> EpsNet:
         raise InvalidInstanceError(f"density: {exc}") from exc
 
 
+def _space_json(space: Space1D) -> dict:
+    """The "intervals" and "isolated" lists of an interval space."""
+    return {
+        "intervals": [[_rational_json(lo), _rational_json(hi)] for lo, hi in space.intervals],
+        "isolated": [_rational_json(p) for p in space.isolated],
+    }
+
+
 def instance_to_dict(relation, density: EpsNet | None = None) -> dict:
     if isinstance(relation, FiniteRelation):
         doc = {
@@ -211,14 +219,7 @@ def instance_to_dict(relation, density: EpsNet | None = None) -> dict:
             else:
                 prims.append({"type": "point", "at": [_rational_json(p.x), _rational_json(p.y)]})
         doc = {
-            "space": {
-                "kind": "interval_union",
-                "intervals": [
-                    [_rational_json(lo), _rational_json(hi)]
-                    for lo, hi in relation.space.intervals
-                ],
-                "isolated": [_rational_json(p) for p in relation.space.isolated],
-            },
+            "space": {"kind": "interval_union", **_space_json(relation.space)},
             "relation": {"kind": "primitives", "primitives": prims},
         }
     else:
@@ -227,12 +228,7 @@ def instance_to_dict(relation, density: EpsNet | None = None) -> dict:
         doc["density"] = {
             "kind": "eps_net",
             "eps": _rational_json(density.eps),
-            "space": {
-                "intervals": [
-                    [_rational_json(lo), _rational_json(hi)] for lo, hi in density.space.intervals
-                ],
-                "isolated": [_rational_json(p) for p in density.space.isolated],
-            },
+            "space": _space_json(density.space),
             "extents": [[_rational_json(lo), _rational_json(hi)] for lo, hi in density.extents],
         }
     return doc

@@ -13,9 +13,9 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .classify import BudgetExceededError, Certainty
+from .classify import BranchCoverResult, BudgetExceededError, Certainty, _min_cover
 from .density import EpsNet
 from .finite import FiniteRelation, FiniteSpace
 from .region import (
@@ -488,14 +488,6 @@ def nondense_loop_search(
     return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, memo_first=False))
 
 
-@dataclass(frozen=True)
-class SymbolicCoverResult:
-    size: int | None
-    witnesses: tuple[tuple[Fraction, ...], ...]
-    horizon: int
-    certainty: Certainty
-
-
 def sym_branch_cover(
     R: SymbolicRelation,
     x,
@@ -504,7 +496,7 @@ def sym_branch_cover(
     choice_step=None,
     budget: int = 50000,
     max_candidates: int = 128,
-) -> SymbolicCoverResult:
+) -> BranchCoverResult:
     """Minimum number of exact walks from x whose joint orbit is an eps-net.
 
     Maximal walks (horizon steps or stuck) are enumerated over the sampled
@@ -538,18 +530,11 @@ def sym_branch_cover(
     if len(kept) > max_candidates:
         raise BudgetExceededError("too many candidate walks for branch cover search")
     kept.sort(key=lambda item: item[1])
-
-    def dense_union(idx: Iterable[int]) -> bool:
-        return OrbitCover(R.space, eps, (p for i in idx for p in kept[i][0])).dense()
-
-    if not kept or not dense_union(range(len(kept))):
-        return SymbolicCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
-    for k in range(1, len(kept) + 1):
-        for combo in itertools.combinations(range(len(kept)), k):
-            if dense_union(combo):
-                witnesses = tuple(kept[i][1] for i in combo)
-                return SymbolicCoverResult(k, witnesses, horizon, Certainty.CERTIFIED)
-    return SymbolicCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
+    picked = _min_cover(kept, lambda orbit: OrbitCover(R.space, eps, orbit).dense())
+    if picked is None:
+        return BranchCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
+    size, idx = picked
+    return BranchCoverResult(size, tuple(kept[i][1] for i in idx), horizon, Certainty.CERTIFIED)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +558,8 @@ def grid_transitivity_check(
 
     U is chased as a closed cell (its image chain is computed exactly); V is
     met when the chain intersects the open cell interior, or contains the
-    point for degenerate cells.  positive_only starts the chase at n = 1.
+    point for degenerate cells.  positive_only starts the chase at n = 1, so
+    at horizon 0 it meets no cell.
     """
     delta = _as_fraction(delta)
     cells = grid_cells(R.space, delta)
@@ -584,8 +570,7 @@ def grid_transitivity_check(
         start = Region1D.interval(ulo, uhi)
         steps = 0
         if positive_only:
-            start = sym_image(R, start)
-            steps = 1
+            start, steps = (sym_image(R, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
 
         def mark(region: Region1D):
             done = []
@@ -621,8 +606,11 @@ def forward_union(
     R: SymbolicRelation, U: Region1D, horizon: int, include_start: bool
 ) -> Region1D:
     """Union of G^k(U): k from 0 (include_start) or 1, up to the horizon."""
-    acc = U if include_start else sym_image(R, U)
-    steps = horizon if include_start else horizon - 1
-    for acc, _ in itertools.islice(_frontier_chase(R, acc), max(steps, 0)):
+    acc = U
+    if not include_start:
+        if horizon < 1:
+            return Region1D.empty()  # no k in 1..horizon
+        acc, horizon = sym_image(R, U), horizon - 1
+    for acc, _ in itertools.islice(_frontier_chase(R, acc), max(horizon, 0)):
         pass
     return acc

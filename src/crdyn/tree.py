@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Condensation, _analysis, _dense_walks, _density, reach
+from .classify import Condensation, _analysis, _dense_walks, _density, orbit_union, reach
 from .density import DensityPredicate
 from .finite import FiniteRelation, image
 
@@ -137,7 +137,7 @@ def branch_summary(
     dense = _density(G, dense)
     a = _analysis(G)
     is_legal = x in a.legal
-    cover = reach(G, x) & a.legal
+    cover = orbit_union(G, x)
     count, max_len = _finite_branch_stats(G, x, a.cond)
     cover_dense = bool(cover) and dense.dense(cover)
     some_dense, all_dense = (
@@ -163,22 +163,15 @@ def unique_branch(G: FiniteRelation, x: int) -> bool:
 
 
 def unique_infinite_branch(G: FiniteRelation, x: int) -> bool:
-    """|infinite branches of T(x)| = 1, decided on the legal part of the reach set."""
-    legal_pts = _analysis(G).legal
-    if x not in legal_pts:
-        return False
-    seen = {x}
-    work = [x]
-    while work:
-        v = work.pop()
-        legal_succ = [w for w in G.successors(v) if w in legal_pts]
-        if len(legal_succ) != 1:
-            return False
-        w = legal_succ[0]
-        if w not in seen:
-            seen.add(w)
-            work.append(w)
-    return True
+    """|infinite branches of T(x)| = 1: x is legal and each point of its orbit
+    union has exactly one legal successor.
+
+    Every point on a walk to a legal point is legal, so the orbit union is
+    what a walk along legal successors from x can visit.
+    """
+    legal = _analysis(G).legal
+    orbit = orbit_union(G, x)
+    return x in orbit and all(sum(w in legal for w in G.successors(v)) == 1 for v in orbit)
 
 
 def function_graph_tests(G: FiniteRelation) -> tuple[bool, bool]:

@@ -173,6 +173,17 @@ class TestInvariantSuites:
         assert all(do_transitive(CYCLE3, k) for k in (1, 2, 3))
         assert not any(do_transitive(PAIR_LOOP, k) for k in (1, 2, 3))
 
+    def test_levels_outside_one_to_three_are_rejected(self):
+        # PAIR_SINK's point 1 is intransitive: level 4 once made it a member,
+        # and level 5 put every point, illegal ones included, in trans_set
+        for level in (0, 4, 5):
+            with pytest.raises(ValueError, match="level must be 1, 2, or 3"):
+                trans_set(PAIR_SINK, level)
+            with pytest.raises(ValueError, match="level must be 1, 2, or 3"):
+                membership(PAIR_SINK, 1, level)
+            with pytest.raises(ValueError, match="level must be 1, 2, or 3"):
+                do_transitive(PAIR_SINK, level)
+
     def test_projections_and_gerce(self, rng):
         assert projection_check(PAIR_LOOP) == (frozenset({0}), frozenset({0}))
         assert projection_check(CYCLE3) == (frozenset({0, 1, 2}),) * 2

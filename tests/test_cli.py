@@ -146,6 +146,14 @@ class TestTransitive:
         assert code == 0
         assert "certified" in out
 
+    def test_plus_grid_at_horizon_zero_reaches_nothing(self, docs):
+        # the +chase starts at n = 1, so horizon 0 leaves all 4 x 4 cell pairs unreached
+        code, out, _ = run_cli("transitive", docs["ex1"], "--plus", "--eps", "1/4", "--horizon", "0")
+        assert code == 0
+        assert "+transitive-at-grid: not certified; 16 cell pairs unreached" in out
+        code, out, _ = run_cli("transitive", docs["ex1"], "--plus", "--eps", "1/4", "--horizon", "1")
+        assert "not certified; 8 cell pairs unreached" in out
+
 
 class TestTreeReachMahavier:
     def test_tree_levels_and_dot_stability(self, docs, tmp_path):

@@ -548,6 +548,10 @@ def start_regions(R):
 
 HORIZONS = (0, 1, 2, 8)
 
+# The references chase from G(U) even at horizon 0 when the chase starts at
+# n = 1; the corrected horizon-0 answers for that mode are pinned in
+# test_symbolic.py::TestHorizonZero instead.
+
 
 @pytest.mark.parametrize("name,R", interval_relations(), ids=lambda v: v if isinstance(v, str) else "")
 class TestSymbolicChaseAgainstReference:
@@ -563,6 +567,8 @@ class TestSymbolicChaseAgainstReference:
         for start in start_regions(R):
             for n in HORIZONS:
                 for include_start in (True, False):
+                    if n == 0 and not include_start:
+                        continue
                     want = ref_forward_union(R, start, n, include_start), kernel_calls()
                     got = forward_union(R, start, n, include_start), kernel_calls()
                     assert got == want, (name, start, n, include_start)
@@ -570,6 +576,8 @@ class TestSymbolicChaseAgainstReference:
     def test_grid_check(self, name, R, kernel_calls):
         for n in HORIZONS:
             for positive_only in (False, True):
+                if n == 0 and positive_only:
+                    continue
                 want = ref_grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
                 got = grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
                 assert got == want, (name, n, positive_only)

@@ -329,3 +329,23 @@ class TestGridTransitivity:
         assert u == Region1D.point(1)
         u0 = forward_union(CROSS_ZERO, Region1D.interval(F(3, 4), 1), 10, include_start=True)
         assert u0 == Region1D.interval(F(3, 4), 1)
+
+
+class TestHorizonZero:
+    """A chase that starts at n = 1 reaches nothing within horizon 0."""
+
+    def test_positive_forward_union_is_empty(self):
+        for R in (CROSS_MID, CROSS_ZERO):
+            for U in (Region1D.point(F(1, 2)), Region1D.interval(F(3, 4), 1)):
+                assert forward_union(R, U, 0, include_start=False) == Region1D.empty()
+                assert forward_union(R, U, 1, include_start=False) == sym_image(R, U)
+                assert forward_union(R, U, 0, include_start=True) == U
+
+    def test_positive_grid_check_misses_every_pair(self):
+        for R in (CROSS_MID, CROSS_ZERO):
+            report = grid_transitivity_check(R, F(1, 4), 0, positive_only=True)
+            n = len(report.cells)
+            assert n == 4
+            assert not report.transitive
+            assert report.max_steps_needed == 0
+            assert report.misses == tuple((u, v) for u in range(n) for v in range(n))

@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from conftest import make_random_function, make_random_relation
 from crdyn.classify import Verdict, classify_point, reach
 from crdyn.finite import FiniteRelation, FiniteSpace, image
@@ -130,6 +132,12 @@ class TestBranchSummary:
 
 
 class TestFunctionGraphTests:
+    def test_points_outside_the_space_are_rejected(self):
+        for query in (unique_branch, unique_infinite_branch, tree_height):
+            for x in (99, -1):
+                with pytest.raises(ValueError, match="outside the space"):
+                    query(CYCLE3, x)
+
     def test_examples(self):
         assert function_graph_tests(CYCLE3) == (True, True)
         assert function_graph_tests(PAIR_LOOP) == (True, False)
