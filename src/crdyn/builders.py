@@ -91,17 +91,16 @@ def forward_orbit(segments: list[Segment], start, steps: int) -> list[Fraction]:
 
 
 def map_preimages(segments: list[Segment], y) -> list[Fraction]:
-    """All exact t with f(t) = y, by solving each linear piece."""
+    """All exact t with f(t) = y: the image of y under each mirrored piece.
+
+    A flat piece at y mirrors to a vertical one, whose image is a range.
+    """
     y = _as_fraction(y)
     out = set()
-    for seg in segments:
-        ylo, yhi = seg.y_extent()
-        if not ylo <= y <= yhi:
-            continue
-        if seg.y1 == seg.y2:
+    for tlo, thi in filter(None, (seg.mirrored().image_over(y, y) for seg in segments)):
+        if tlo != thi:
             raise ValueError("map has a flat piece at this value; preimages are not finite")
-        t = seg.x1 + (y - seg.y1) * (seg.x2 - seg.x1) / (seg.y2 - seg.y1)
-        out.add(t)
+        out.add(tlo)
     return sorted(out)
 
 

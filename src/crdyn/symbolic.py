@@ -5,6 +5,10 @@ encode set-valued columns) and single points, all with Fraction coordinates.
 Images, preimages, reach sets, projections, grid discretizations, and the
 bounded walk searches are computed exactly; when a question cannot be decided
 at a finite horizon the answer says so instead of guessing.
+
+Each relation is compiled once, when it is built: its primitives become rows
+of a private table sorted by x-range, so successors and images bisect to the
+rows that can meet a point or a window instead of scanning every primitive.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .region import (
     _distance,
     _HI,
     _LO,
+    _merge,
     grid_cells,
 )
 
@@ -103,10 +108,71 @@ class SinglePoint:
 Primitive = Segment | SinglePoint
 
 
-class SymbolicRelation:
-    """A closed relation on a Space1D given by finitely many primitives."""
+class _PrimitiveTable:
+    """The primitives of one relation, compiled once into rows sorted by x-range start.
 
-    __slots__ = ("space", "primitives")
+    A row is (ax, bx, ay, by, slope): the x-range, the y at ax and at bx, and
+    the slope.  A vertical segment has slope None and ay < by (its column); a
+    single point is a row with ax == bx and ay == by, and slope 0 like a
+    horizontal segment.  The sort is stable, so rows that start at the same x
+    keep their primitive order.  The dyadic choice grid of each vertical row
+    is cached for one step, the last one asked for: a search keeps its step.
+    """
+
+    __slots__ = ("rows", "starts", "step", "grids")
+
+    def __init__(self, primitives: Sequence[Primitive]):
+        rows = []
+        for prim in primitives:
+            ax, bx = prim.x_extent()
+            ay, by = prim.image_over(ax, ax)  # a column's range, else the value at ax
+            if ax < bx:
+                by = prim.image_over(bx, bx)[0]
+                slope = (by - ay) / (bx - ax)
+            else:
+                slope = None if ay < by else Fraction(0)
+            rows.append((ax, bx, ay, by, slope))
+        rows.sort(key=_LO)
+        self.rows = rows
+        self.starts = [row[0] for row in rows]
+        self.step = None
+        self.grids: dict[int, list[Fraction]] = {}
+
+    def at(self, p: Fraction) -> tuple[set[Fraction], list[int]]:
+        """(values of the non-vertical rows at p, indices of the vertical rows at p)."""
+        values: set[Fraction] = set()
+        columns: list[int] = []
+        rows = self.rows
+        for i in range(bisect.bisect_right(self.starts, p)):
+            ax, bx, ay, _, slope = rows[i]
+            if bx < p:
+                continue
+            if slope is None:
+                columns.append(i)
+            else:
+                values.add(ay + (p - ax) * slope if slope else ay)
+        return values, columns
+
+    def grid(self, i: int, step: Fraction) -> list[Fraction]:
+        """The choice points of vertical row i at this step."""
+        if step != self.step:
+            self.step = step
+            self.grids = {}
+        got = self.grids.get(i)
+        if got is None:
+            _, _, ay, by, _ = self.rows[i]
+            got = self.grids[i] = _range_choices(ay, by, step)
+        return got
+
+
+class SymbolicRelation:
+    """A closed relation on a Space1D given by finitely many primitives.
+
+    The primitives are compiled into a `_PrimitiveTable` when the relation is
+    built; the mirrored relation is built on first use and kept.
+    """
+
+    __slots__ = ("space", "primitives", "_table", "_mirror")
 
     def __init__(self, space: Space1D, primitives: Sequence[Primitive]):
         primitives = tuple(primitives)
@@ -120,9 +186,16 @@ class SymbolicRelation:
                 raise ValueError(f"primitive {prim} leaves the space")
         self.space = space
         self.primitives = primitives
+        self._table = _PrimitiveTable(primitives)
+        self._mirror = None
 
     def mirrored(self) -> "SymbolicRelation":
-        return SymbolicRelation(self.space, [p.mirrored() for p in self.primitives])
+        """The relation with the coordinates swapped, built once."""
+        if self._mirror is None:
+            mirror = SymbolicRelation(self.space, [p.mirrored() for p in self.primitives])
+            mirror._mirror = self
+            self._mirror = mirror
+        return self._mirror
 
     def __repr__(self) -> str:
         return f"SymbolicRelation({self.space!r}, {len(self.primitives)} primitives)"
@@ -133,14 +206,31 @@ class SymbolicRelation:
 
 
 def sym_image(R: SymbolicRelation, A: Region1D) -> Region1D:
-    """Exact one-step image of a region."""
-    pieces = []
-    for prim in R.primitives:
-        for lo, hi in A.pieces:
-            got = prim.image_over(lo, hi)
-            if got is not None:
-                pieces.append(got)
-    return Region1D(pieces)
+    """Exact one-step image of a region.
+
+    Rows come in order of x-range start, so the first piece of A that can
+    meet each row is found by one bisect from the previous row's; the sweep
+    walks forward while pieces start inside the row's x-range.  A row whose
+    whole x-range lies in a piece keeps its end values, with no arithmetic.
+    """
+    pieces = A.pieces
+    out: list[tuple[Fraction, Fraction]] = []
+    k = 0
+    for ax, bx, ay, by, slope in R._table.rows:
+        k = j = bisect.bisect_left(pieces, ax, k, key=_HI)
+        while j < len(pieces) and pieces[j][0] <= bx:
+            lo, hi = pieces[j]
+            j += 1
+            if slope is None:
+                out.append((ay, by))
+            elif not slope:
+                out.append((ay, ay))
+            else:
+                yc = ay if lo <= ax else ay + (lo - ax) * slope
+                yd = by if hi >= bx else ay + (hi - ax) * slope
+                out.append((yc, yd) if slope > 0 else (yd, yc))
+    out.sort()
+    return Region1D._wrap(_merge(out))
 
 
 def sym_preimage(R: SymbolicRelation, A: Region1D) -> Region1D:
@@ -224,8 +314,10 @@ def sym_reach(
 
 def sym_reach_chain(R: SymbolicRelation, start: Region1D, max_iter: int) -> list[Region1D]:
     """Cumulative regions [R_0, R_1, ...] up to max_iter or stabilization."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     chain = [start]
-    chain += (acc for acc, _ in itertools.islice(_frontier_chase(R, start), max(max_iter, 0)))
+    chain += (acc for acc, _ in itertools.islice(_frontier_chase(R, start), max_iter))
     if len(chain) <= max_iter:
         chain.append(chain[-1])  # the step that adds nothing
     return chain
@@ -289,23 +381,12 @@ def point_successors(
 ) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
     """(single-valued images, interval-valued choice ranges) at an exact point.
 
-    A degenerate image of the window [p, p] is a single successor; any other
-    (a vertical segment at p) is a range to choose from.
+    Every row whose x-range holds p gives a single successor, except a
+    vertical segment at p, which gives a range to choose from.
     """
-    p = _as_fraction(p)
-    singles: list[Fraction] = []
-    ranges: list[tuple[Fraction, Fraction]] = []
-    for prim in R.primitives:
-        got = prim.image_over(p, p)
-        if got is None:
-            continue
-        if got[0] == got[1]:
-            singles.append(got[0])
-        else:
-            ranges.append(got)
-    # dedupe, stable ascending
-    singles = sorted(set(singles))
-    return singles, ranges
+    table = R._table
+    values, columns = table.at(_as_fraction(p))
+    return sorted(values), [table.rows[i][2:4] for i in columns]
 
 
 def _range_choices(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
@@ -324,10 +405,10 @@ def _range_choices(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]
 def successor_choices(
     R: SymbolicRelation, p: Fraction, choice_step: Fraction
 ) -> list[Fraction]:
-    singles, ranges = point_successors(R, p)
-    out = set(singles)
-    for lo, hi in ranges:
-        out.update(_range_choices(lo, hi, choice_step))
+    table = R._table
+    out, columns = table.at(_as_fraction(p))
+    for i in columns:
+        out.update(table.grid(i, choice_step))
     return sorted(out)
 
 
@@ -551,6 +632,31 @@ class GridTransitivityReport:
     cells: tuple[tuple[Fraction, Fraction], ...]
 
 
+def _unmet(cells: list[tuple[Fraction, Fraction]], pending: list[int], region: Region1D) -> list[int]:
+    """The ascending pending cell indices that the region does not meet.
+
+    A proper cell is met when the region meets its open interior, a
+    degenerate one when the region contains its point.  One bisect pointer
+    moves forward over the region's pieces to the first that ends at or
+    after each cell's start.
+    """
+    pieces = region.pieces
+    left: list[int] = []
+    j = 0
+    for vi in pending:
+        vlo, vhi = cells[vi]
+        j = k = bisect.bisect_left(pieces, vlo, j, key=_HI)
+        if vlo < vhi:
+            if k < len(pieces) and pieces[k][1] == vlo:
+                k += 1  # touches the cell only at its closed end
+            met = k < len(pieces) and pieces[k][0] < vhi
+        else:
+            met = k < len(pieces) and pieces[k][0] <= vlo
+        if not met:
+            left.append(vi)
+    return left
+
+
 def grid_transitivity_check(
     R: SymbolicRelation, delta, horizon: int, positive_only: bool = False
 ) -> GridTransitivityReport:
@@ -561,38 +667,26 @@ def grid_transitivity_check(
     point for degenerate cells.  positive_only starts the chase at n = 1, so
     at horizon 0 it meets no cell.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     delta = _as_fraction(delta)
     cells = grid_cells(R.space, delta)
     misses: list[tuple[int, int]] = []
     max_steps = 0
     for ui, (ulo, uhi) in enumerate(cells):
-        pending = set(range(len(cells)))
         start = Region1D.interval(ulo, uhi)
         steps = 0
         if positive_only:
             start, steps = (sym_image(R, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
-
-        def mark(region: Region1D):
-            done = []
-            for vi in pending:
-                vlo, vhi = cells[vi]
-                if vlo == vhi:
-                    if region.contains_point(vlo):
-                        done.append(vi)
-                elif region.intersects_open_interval(vlo, vhi):
-                    done.append(vi)
-            pending.difference_update(done)
-
-        mark(start)
+        pending = _unmet(cells, list(range(len(cells))), start)
         if pending:
             # a chase that stops early has stabilized: no new cell can be met
-            chase = itertools.islice(_frontier_chase(R, start), max(horizon - steps, 0))
+            chase = itertools.islice(_frontier_chase(R, start), horizon - steps)
             for steps, (_, frontier) in enumerate(chase, steps + 1):
-                mark(frontier)
+                pending = _unmet(cells, pending, frontier)
                 if not pending:
                     break
-        if pending:
-            misses.extend((ui, vi) for vi in sorted(pending))
+        misses.extend((ui, vi) for vi in pending)
         max_steps = max(max_steps, steps)
     return GridTransitivityReport(
         transitive=not misses,
@@ -606,11 +700,13 @@ def forward_union(
     R: SymbolicRelation, U: Region1D, horizon: int, include_start: bool
 ) -> Region1D:
     """Union of G^k(U): k from 0 (include_start) or 1, up to the horizon."""
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     acc = U
     if not include_start:
         if horizon < 1:
             return Region1D.empty()  # no k in 1..horizon
         acc, horizon = sym_image(R, U), horizon - 1
-    for acc, _ in itertools.islice(_frontier_chase(R, acc), max(horizon, 0)):
+    for acc, _ in itertools.islice(_frontier_chase(R, acc), horizon):
         pass
     return acc

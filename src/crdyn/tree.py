@@ -89,15 +89,17 @@ class BranchSummary:
     intransitive: bool
 
 
-def _finite_branch_stats(G: FiniteRelation, x: int, cond: Condensation) -> tuple[int | None, int | None]:
-    """(number, max length) of walks from x ending at successor-free points."""
+def _finite_branch_stats(
+    G: FiniteRelation, x: int, cond: Condensation, reached: frozenset
+) -> tuple[int | None, int | None]:
+    """(number, max length) of walks from x ending at successor-free points; reached is x's reach."""
     # components from which some walk reaches a successor-free point; Tarjan
     # order puts every successor component first
     ends: list[bool] = []
     for c in range(cond.count):
         dead = not cond.live[c] and not cond.dag_succ[c]
         ends.append(dead or any(ends[d] for d in cond.dag_succ[c]))
-    relevant = frozenset(v for v in reach(G, x) if ends[cond.scc_of[v]])
+    relevant = frozenset(v for v in reached if ends[cond.scc_of[v]])
     if not relevant:
         return 0, None
     # a cycle on the way to a dead end makes the walk family unbounded
@@ -118,7 +120,7 @@ def tree_height(G: FiniteRelation, x: int) -> int | None:
     a = _analysis(G)
     if x in a.legal:
         return None
-    _, longest = _finite_branch_stats(G, x, a.cond)
+    _, longest = _finite_branch_stats(G, x, a.cond, reach(G, x))
     return longest or 0
 
 
@@ -130,15 +132,17 @@ def branch_summary(
 ) -> BranchSummary:
     """Branch-based restatement of the classification of x.
 
-    The cover of infinite branches is computed from cycle reachability; the
-    per-branch density booleans are the classify decisions, so that one
-    algorithm answers both views.
+    The cover of infinite branches is the orbit union, x's reach inside the
+    legal set; the per-branch density booleans are the classify decisions,
+    so that one algorithm answers both views.  One reach BFS serves the
+    cover and the finite-branch counts.
     """
     dense = _density(G, dense)
     a = _analysis(G)
     is_legal = x in a.legal
-    cover = orbit_union(G, x)
-    count, max_len = _finite_branch_stats(G, x, a.cond)
+    reached = reach(G, x)
+    cover = reached & a.legal
+    count, max_len = _finite_branch_stats(G, x, a.cond, reached)
     cover_dense = bool(cover) and dense.dense(cover)
     some_dense, all_dense = (
         _dense_walks(G, a, x, dense, search_budget) if is_legal and cover_dense else (False, False)

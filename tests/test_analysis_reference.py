@@ -94,8 +94,9 @@ def ref_branch_summary(G, x, dense=None, search_budget=20000):
     cond = Condensation(G)
     legal = ref_legal(cond)
     is_legal = x in legal
-    cover = reach(G, x) & legal
-    count, max_len = _finite_branch_stats(G, x, cond)
+    reached = reach(G, x)
+    cover = reached & legal
+    count, max_len = _finite_branch_stats(G, x, cond, reached)
     cover_dense = bool(cover) and dense.dense(cover)
     if not is_legal:
         some_dense = all_dense = False

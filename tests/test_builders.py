@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from crdyn import gallery
 from crdyn.classify import BudgetExceededError
 from crdyn.builders import (
     cantor_stage_intervals,
@@ -16,7 +17,7 @@ from crdyn.builders import (
     tent_map_graph,
 )
 from crdyn.region import Region1D, Space1D, eps_dense
-from crdyn.symbolic import SymbolicRelation, sym_image
+from crdyn.symbolic import Segment, SymbolicRelation, sym_image
 
 UNIT = Space1D(intervals=[(0, 1)])
 
@@ -50,6 +51,40 @@ class TestTentGraphs:
         assert map_preimages(tent, 1) == [F(1, 2)]
         assert map_preimages(tent, 0) == [F(0), F(1)]
 
+
+    def test_preimages_equal_the_inverse_slope_formula(self):
+        """Mirrored pieces give the preimages the per-piece inverse formula gave, and flag flat pieces."""
+
+        def formula(segments, y):
+            out = set()
+            for seg in segments:
+                ylo, yhi = seg.y_extent()
+                if not ylo <= y <= yhi:
+                    continue
+                if seg.y1 == seg.y2:
+                    return "flat"
+                out.add(seg.x1 + (y - seg.y1) * (seg.x2 - seg.x1) / (seg.y2 - seg.y1))
+            return sorted(out)
+
+        def outcome(segments, y):
+            try:
+                return map_preimages(segments, y)
+            except ValueError:
+                return "flat"
+
+        maps = [tent_map_graph(), left_half_tent_graph(), right_half_tent_graph(), cantor_staircase(2)]
+        for name in gallery.names():
+            relation = gallery.build(name).relation
+            if isinstance(relation, SymbolicRelation):
+                maps.append([p for p in relation.primitives if isinstance(p, Segment)])
+        flats = 0
+        for segments in maps:
+            ys = {F(k, 64) for k in range(-2, 67)} | {y for seg in segments for y in (seg.y1, seg.y2)}
+            for y in sorted(ys):
+                want = formula(segments, y)
+                flats += want == "flat"
+                assert outcome(segments, y) == want, (segments, y)
+        assert flats > 0
 
 class TestCantor:
     def test_stage_intervals(self):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from crdyn import gallery
 from crdyn.classify import BudgetExceededError
 from crdyn.region import Region1D, Space1D, eps_dense
 from crdyn.symbolic import (
@@ -21,6 +22,7 @@ from crdyn.symbolic import (
     sym_image,
     sym_preimage,
     sym_reach,
+    sym_reach_chain,
 )
 
 UNIT = Space1D(intervals=[(0, 1)])
@@ -349,3 +351,28 @@ class TestHorizonZero:
             assert not report.transitive
             assert report.max_steps_needed == 0
             assert report.misses == tuple((u, v) for u in range(n) for v in range(n))
+
+
+class TestNegativeHorizon:
+    """Every chase refuses a negative horizon, as sym_reach does."""
+
+    def ex1(self):
+        return gallery.build("ex1").relation
+
+    def test_sym_reach(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sym_reach(self.ex1(), Region1D.point(0), -1)
+
+    def test_forward_union(self):
+        for include_start in (True, False):
+            with pytest.raises(ValueError, match="non-negative"):
+                forward_union(self.ex1(), Region1D.point(0), -1, include_start=include_start)
+
+    def test_grid_transitivity_check(self):
+        for positive_only in (False, True):
+            with pytest.raises(ValueError, match="non-negative"):
+                grid_transitivity_check(self.ex1(), F(1, 4), -1, positive_only=positive_only)
+
+    def test_sym_reach_chain(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sym_reach_chain(self.ex1(), Region1D.point(0), -1)

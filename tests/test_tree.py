@@ -3,7 +3,7 @@ import re
 import pytest
 
 from conftest import make_random_function, make_random_relation
-from crdyn.classify import Verdict, classify_point, reach
+from crdyn.classify import Verdict, classify_point, orbit_union, reach
 from crdyn.finite import FiniteRelation, FiniteSpace, image
 from crdyn.tree import (
     branch_summary,
@@ -112,6 +112,31 @@ class TestBranchSummary:
         assert s.finite_branch_count is None
         assert s.max_finite_branch_length is None
         assert s.is_legal
+
+    def test_one_reach_per_summary(self, monkeypatch):
+        import crdyn.classify
+        import crdyn.tree
+
+        calls = []
+
+        def counted(G, x, *rest):
+            calls.append(x)
+            return reach(G, x, *rest)
+
+        monkeypatch.setattr(crdyn.classify, "reach", counted)
+        monkeypatch.setattr(crdyn.tree, "reach", counted)
+        G = rel(list("abcd"), [(0, 1), (1, 2), (2, 3), (3, 3)])
+        summaries = []
+        for x in range(4):
+            calls.clear()
+            summaries.append(branch_summary(G, x))
+            assert calls == [x]
+        assert repr(summaries[1]) == (
+            "BranchSummary(root=1, is_legal=True, finite_branch_count=0, max_finite_branch_length=None, "
+            "height=None, infinite_branch_cover=frozenset({1, 2, 3}), all_infinite_branches_dense=False, "
+            "exists_infinite_dense_branch=False, cover_dense=False, intransitive=True)"
+        )
+        assert [s.infinite_branch_cover for s in summaries] == [orbit_union(G, x) for x in range(4)]
 
     def test_booleans_match_classification_on_random(self, rng):
         for _ in range(500):
