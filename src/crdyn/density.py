@@ -49,7 +49,7 @@ class EpsNet:
     def __init__(self, space: Space1D, extents: Sequence[Piece], eps):
         self.space = space
         self.extents = tuple(extents)
-        self._frame = _CoverFrame(space, eps)
+        self._frame = _CoverFrame(space._components, _as_fraction(eps))
         self.eps = self._frame.eps
         pieces = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in self.extents]
         for lo, hi in pieces:

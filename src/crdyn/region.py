@@ -252,13 +252,14 @@ def _distance(lows: Sequence[Fraction], highs: Sequence[Fraction], x: Fraction) 
     """Exact distance from x to the sorted disjoint closed pieces [lows[i], highs[i]].
 
     There is at least one piece; sorted points pass as both lows and highs.
+    The numbers may be ints as well: a distance to points is then an int.
     """
     i = bisect.bisect_right(lows, x)
     if i == 0:
         return lows[0] - x
     left = x - highs[i - 1]
-    if left <= 0:
-        return _ZERO
+    if left < 0:
+        return _ZERO  # x lies inside a proper piece
     if i == len(lows):
         return left
     right = lows[i] - x
@@ -273,27 +274,31 @@ class _CoverFrame:
     the set.  So pieces form an eps-net of the space exactly when no gap is
     bad (wider than 2 eps with its midpoint in the space) and every component
     endpoint lies within eps of a piece.
+
+    The frame is built from the space's sorted components and a positive eps,
+    all exact: Fractions, or the ints of a search that scales its numbers by
+    a common denominator.  The gap test never divides, so it works on both.
     """
 
-    __slots__ = ("eps", "width", "lows", "highs", "ends")
+    __slots__ = ("eps", "width", "lows2", "highs2", "ends")
 
-    def __init__(self, space: Space1D, eps):
-        eps = _as_fraction(eps)
+    def __init__(self, components: Sequence[Piece], eps):
         if eps <= 0:
             raise ValueError("eps must be positive")
-        comps = space._components
         self.eps = eps
         self.width = 2 * eps
-        self.lows, self.highs = zip(*comps)
-        self.ends = tuple(e for lo, hi in comps for e in ((lo,) if lo == hi else (lo, hi)))
+        # doubled component ends, compared with p + q, twice a gap's midpoint
+        self.lows2 = tuple(2 * lo for lo, _ in components)
+        self.highs2 = tuple(2 * hi for _, hi in components)
+        self.ends = tuple(e for lo, hi in components for e in ((lo,) if lo == hi else (lo, hi)))
 
-    def bad_gap(self, p: Fraction, q: Fraction) -> bool:
+    def bad_gap(self, p, q) -> bool:
         """Whether the gap from p up to q between consecutive pieces is bad."""
         if q - p <= self.width:
             return False
-        mid = (p + q) / 2
-        i = bisect.bisect_right(self.lows, mid) - 1
-        return i >= 0 and mid <= self.highs[i]
+        mid2 = p + q
+        i = bisect.bisect_right(self.lows2, mid2) - 1
+        return i >= 0 and mid2 <= self.highs2[i]
 
     def near_ends(self, lows: Sequence[Fraction], highs: Sequence[Fraction]) -> bool:
         """Whether every component endpoint lies within eps of the (non-empty) pieces."""
@@ -313,7 +318,7 @@ class _CoverFrame:
 
 def eps_dense(space: Space1D, covered: Region1D, eps) -> bool:
     """Decide exactly whether every point of the space is within eps of the region."""
-    return _CoverFrame(space, eps).covers(covered.pieces)
+    return _CoverFrame(space._components, _as_fraction(eps)).covers(covered.pieces)
 
 
 class OrbitCover:
@@ -323,14 +328,26 @@ class OrbitCover:
     bad gaps between consecutive points (see `_CoverFrame`).  Covers are
     immutable: `insert` returns a new cover (one bisect, at most three gap
     tests and a tuple copy), so a depth-first search can keep one per state.
+    `_over` builds a cover on a frame that is already built, whose numbers
+    may be the ints of a scaled search.
     """
 
     __slots__ = ("points", "bad", "_frame")
 
     def __init__(self, space: Space1D, eps, points: Iterable = ()):
-        self._frame = _CoverFrame(space, eps)
-        self.points = tuple(sorted({_as_fraction(p) for p in points}))
-        self.bad = sum(map(self._frame.bad_gap, self.points, self.points[1:]))
+        frame = _CoverFrame(space._components, _as_fraction(eps))
+        self._fill(frame, {_as_fraction(p) for p in points})
+
+    @classmethod
+    def _over(cls, frame: _CoverFrame, points: Iterable = ()) -> "OrbitCover":
+        new = object.__new__(cls)
+        new._fill(frame, set(points))
+        return new
+
+    def _fill(self, frame: _CoverFrame, points: set) -> None:
+        self._frame = frame
+        self.points = tuple(sorted(points))
+        self.bad = sum(map(frame.bad_gap, self.points, self.points[1:]))
 
     def insert(self, v: Fraction) -> "OrbitCover":
         """The cover of the orbit with v added; self when v is already in it."""

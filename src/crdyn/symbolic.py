@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -27,6 +28,7 @@ from .region import (
     Region1D,
     Space1D,
     _as_fraction,
+    _CoverFrame,
     _distance,
     _HI,
     _LO,
@@ -40,8 +42,9 @@ class Segment:
     """Closed planar segment; may be vertical, horizontal, or sloped.
 
     The endpoints sorted by x and the slope (None when vertical) are computed
-    once and kept outside the dataclass fields, so equality, hashing and repr
-    see only the four coordinates.
+    once, and the mirrored segment on first use; both are kept outside the
+    dataclass fields, so equality, hashing and repr see only the four
+    coordinates.
     """
 
     x1: Fraction
@@ -57,6 +60,7 @@ class Segment:
         (ax, ay), (bx, by) = sorted(((self.x1, self.y1), (self.x2, self.y2)))
         slope = None if ax == bx else (by - ay) / (bx - ax)
         object.__setattr__(self, "_line", (ax, ay, bx, by, slope))
+        object.__setattr__(self, "_mirror", None)
 
     def x_extent(self) -> tuple[Fraction, Fraction]:
         ax, _, bx, _, _ = self._line
@@ -78,7 +82,12 @@ class Segment:
         return (yc, yd) if slope >= 0 else (yd, yc)
 
     def mirrored(self) -> "Segment":
-        return Segment(self.y1, self.x1, self.y2, self.x2)
+        """The segment with its coordinates swapped, built once; its mirror is self."""
+        if self._mirror is None:
+            mirror = Segment(self.y1, self.x1, self.y2, self.x2)
+            object.__setattr__(mirror, "_mirror", self)
+            object.__setattr__(self, "_mirror", mirror)
+        return self._mirror
 
 
 @dataclass(frozen=True)
@@ -117,9 +126,14 @@ class _PrimitiveTable:
     horizontal segment.  The sort is stable, so rows that start at the same x
     keep their primitive order.  The dyadic choice grid of each vertical row
     is cached for one step, the last one asked for: a search keeps its step.
+
+    When every slope is an integer (`integral`), `scaled(D)` gives the same
+    table with every number multiplied by D, as ints, for any multiple D of
+    `denominator`, the least common denominator of the rows' ends; it is
+    built on first use and kept for the last D asked for.
     """
 
-    __slots__ = ("rows", "starts", "step", "grids")
+    __slots__ = ("rows", "starts", "step", "grids", "integral", "denominator", "_scaled")
 
     def __init__(self, primitives: Sequence[Primitive]):
         rows = []
@@ -133,14 +147,32 @@ class _PrimitiveTable:
                 slope = None if ay < by else Fraction(0)
             rows.append((ax, bx, ay, by, slope))
         rows.sort(key=_LO)
+        self._fill(rows)
+        self.integral = all(row[4] is None or row[4].denominator == 1 for row in rows)
+        self.denominator = math.lcm(*(v.denominator for row in rows for v in row[:4]))
+        self._scaled: tuple[int, _PrimitiveTable] | None = None
+
+    def _fill(self, rows: list[tuple]) -> None:
         self.rows = rows
         self.starts = [row[0] for row in rows]
         self.step = None
-        self.grids: dict[int, list[Fraction]] = {}
+        self.grids: dict[int, list] = {}
 
-    def at(self, p: Fraction) -> tuple[set[Fraction], list[int]]:
+    def scaled(self, D: int) -> "_PrimitiveTable":
+        """This table with its numbers times D, as ints."""
+        if self._scaled is None or self._scaled[0] != D:
+            table = object.__new__(_PrimitiveTable)
+            table._fill([
+                (*(_times(v, D) for v in row[:4]), None if row[4] is None else int(row[4]))
+                for row in self.rows
+            ])
+            table.integral, table.denominator, table._scaled = True, 1, None
+            self._scaled = (D, table)
+        return self._scaled[1]
+
+    def at(self, p) -> tuple[set, list[int]]:
         """(values of the non-vertical rows at p, indices of the vertical rows at p)."""
-        values: set[Fraction] = set()
+        values = set()
         columns: list[int] = []
         rows = self.rows
         for i in range(bisect.bisect_right(self.starts, p)):
@@ -153,7 +185,7 @@ class _PrimitiveTable:
                 values.add(ay + (p - ax) * slope if slope else ay)
         return values, columns
 
-    def grid(self, i: int, step: Fraction) -> list[Fraction]:
+    def grid(self, i: int, step) -> list:
         """The choice points of vertical row i at this step."""
         if step != self.step:
             self.step = step
@@ -163,6 +195,18 @@ class _PrimitiveTable:
             _, _, ay, by, _ = self.rows[i]
             got = self.grids[i] = _range_choices(ay, by, step)
         return got
+
+    def choices(self, p, step) -> list:
+        """The sorted successors of p, with each column at p sampled on its grid."""
+        out, columns = self.at(p)
+        for i in columns:
+            out.update(self.grid(i, step))
+        return sorted(out)
+
+
+def _times(v: Fraction, D: int) -> int:
+    """v * D for a Fraction v whose denominator divides D."""
+    return v.numerator * (D // v.denominator)
 
 
 class SymbolicRelation:
@@ -389,7 +433,7 @@ def point_successors(
     return sorted(values), [table.rows[i][2:4] for i in columns]
 
 
-def _range_choices(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+def _range_choices(lo, hi, step) -> list:
     """Dyadic-grid choice points inside [lo, hi], endpoints included."""
     out = {lo, hi}
     # first multiple of step at or above lo
@@ -402,14 +446,17 @@ def _range_choices(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]
     return sorted(out)
 
 
+def _positive_step(choice_step) -> Fraction:
+    step = _as_fraction(choice_step)
+    if step <= 0:
+        raise ValueError("choice_step must be positive")
+    return step
+
+
 def successor_choices(
     R: SymbolicRelation, p: Fraction, choice_step: Fraction
 ) -> list[Fraction]:
-    table = R._table
-    out, columns = table.at(_as_fraction(p))
-    for i in columns:
-        out.update(table.grid(i, choice_step))
-    return sorted(out)
+    return R._table.choices(_as_fraction(p), _positive_step(choice_step))
 
 
 @dataclass(frozen=True)
@@ -434,41 +481,90 @@ class WalkSearchResult:
         return Certainty.CERTIFIED if self.found else Certainty.UNKNOWN_AT_HORIZON
 
 
+class _SearchFrame:
+    """The numbers one walk search runs on, and its memoised successors.
+
+    When every slope of R is an integer, the search runs on ints: with D the
+    least common denominator of the table rows, the space's component ends,
+    x, eps and the choice step, every value the search meets is n/D for an
+    int n, since a sloped row maps p to ay + (p - ax) * slope and a column's
+    choice grid is k * step.  The frame holds the table, x, the step and the
+    eps-net test (`cover`) times D, and `exact` maps n back to Fraction(n, D).
+    A relation with a non-integer slope runs the same search on its own
+    Fractions, at D = 1 (`scale` None).  Scaling by a positive D keeps every
+    order and comparison the search makes, so it visits the same states and
+    finds the same witness either way.
+
+    `successors` keeps each point's sorted successor list for the rest of
+    the search; callers must not change the lists.
+    """
+
+    __slots__ = ("scale", "table", "x", "step", "cover", "_succ")
+
+    def __init__(self, R: SymbolicRelation, x: Fraction, eps: Fraction, step: Fraction):
+        table = R._table
+        comps = R.space._components
+        if table.integral:
+            D = math.lcm(
+                table.denominator, x.denominator, eps.denominator, step.denominator,
+                *(v.denominator for piece in comps for v in piece),
+            )
+            table = table.scaled(D)
+            x, eps, step = _times(x, D), _times(eps, D), _times(step, D)
+            comps = [(_times(lo, D), _times(hi, D)) for lo, hi in comps]
+            self.scale = D
+        else:
+            self.scale = None  # D = 1, and the numbers stay Fractions
+        self.table = table
+        self.x, self.step = x, step
+        self.cover = _CoverFrame(comps, eps)
+        self._succ: dict = {}
+
+    def successors(self, v) -> list:
+        got = self._succ.get(v)
+        if got is None:
+            got = self._succ[v] = self.table.choices(v, self.step)
+        return got
+
+    def exact(self, walk: tuple) -> tuple[Fraction, ...]:
+        """The walk in the relation's own numbers."""
+        D = self.scale
+        return walk if D is None else tuple(Fraction(n, D) for n in walk)
+
+
 _PRUNE = object()  # a visit verdict: drop this state and keep searching
 
 
-def _descending(cover: OrbitCover, succs: list[Fraction]) -> list[Fraction]:
-    return sorted(succs, reverse=True)
+def _descending(cover: OrbitCover, succs: list) -> list:
+    return succs[::-1]  # successor lists are ascending and distinct
 
 
 def _orbit_dfs(
-    R: SymbolicRelation,
-    x: Fraction,
-    eps: Fraction,
+    frame: _SearchFrame,
     horizon: int,
-    step: Fraction,
     budget: int,
-    visit: Callable[[tuple[Fraction, ...], frozenset, OrbitCover], object],
-    order: Callable[[OrbitCover, list[Fraction]], list[Fraction]] = _descending,
+    visit: Callable[[tuple, frozenset, OrbitCover], object],
+    order: Callable[[OrbitCover, list], list] = _descending,
     memo_first: bool = True,
 ) -> tuple[str, tuple[Fraction, ...] | None, int]:
-    """Memoised depth-first search over the sampled exact walks from x.
+    """Memoised depth-first search over the sampled exact walks from the frame's x.
 
     A state is a walk and its orbit, kept as a frozenset for the memo key
-    (last point, orbit) and as an OrbitCover for the eps tests.  The memo
-    drops a state already reached with no more steps used, before visit when
-    memo_first, else after it.  Each visit counts a node and returns None to
-    go on, _PRUNE to drop the state, or a witness walk to stop.  A survivor
-    with steps left pushes its successors in order(cover, successors), so the
-    last is explored first.  Children are built when popped, so siblings
-    waiting on the stack share their parent's walk, orbit and cover.
+    (last point, orbit) and as an OrbitCover for the eps tests, all in the
+    frame's numbers.  The memo drops a state already reached with no more
+    steps used, before visit when memo_first, else after it.  Each visit
+    counts a node and returns None to go on, _PRUNE to drop the state, or a
+    witness walk to stop.  A survivor with steps left pushes its successors
+    in order(cover, successors), so the last is explored first.  Children
+    are built when popped, so siblings waiting on the stack share their
+    parent's walk, orbit and cover.
 
-    Returns (status, witness, nodes); status is "found", "exhausted", or
-    "budget" (more than `budget` nodes).
+    Returns (status, witness, nodes), the witness mapped back to Fractions;
+    status is "found", "exhausted", or "budget" (more than `budget` nodes).
     """
-    best: dict[tuple[Fraction, frozenset], int] = {}
+    best: dict[tuple, int] = {}
 
-    def stale(v: Fraction, orbit: frozenset, used: int) -> bool:
+    def stale(v, orbit: frozenset, used: int) -> bool:
         key = (v, orbit)
         prev = best.get(key)
         if prev is not None and prev <= used:
@@ -476,8 +572,10 @@ def _orbit_dfs(
         best[key] = used
         return False
 
+    successors = frame.successors
     nodes = 0
-    stack = [((), frozenset(), OrbitCover(R.space, eps), x)]
+    stack = [((), frozenset(), OrbitCover._over(frame.cover), frame.x)]
+    push = stack.append
     while stack:
         prefix, seen, parent, v = stack.pop()
         walk = prefix + (v,)
@@ -493,23 +591,27 @@ def _orbit_dfs(
         if got is _PRUNE:
             continue
         if got is not None:
-            return "found", got, nodes
+            return "found", frame.exact(got), nodes
         if not memo_first and stale(v, orbit, used):
             continue
         if used >= horizon:
             continue
-        for w in order(cover, successor_choices(R, v, step)):
-            stack.append((walk, orbit, cover, w))
+        for w in order(cover, successors(v)):
+            push((walk, orbit, cover, w))
     return "exhausted", None, nodes
 
 
-def _search_args(R: SymbolicRelation, x, eps, choice_step) -> tuple[Fraction, Fraction, Fraction]:
+def _search_frame(R: SymbolicRelation, x, eps, horizon: int, choice_step) -> _SearchFrame:
     x = _as_fraction(x)
     eps = _as_fraction(eps)
     if not R.space.contains_point(x):
         raise ValueError(f"{x} is not a point of the space")
-    step = _as_fraction(choice_step) if choice_step is not None else eps / 2
-    return x, eps, step
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    step = _positive_step(choice_step) if choice_step is not None else eps / 2
+    return _SearchFrame(R, x, eps, step)
 
 
 def bounded_walk_search(
@@ -529,17 +631,18 @@ def bounded_walk_search(
     OrbitCover, so the density test and the gap-filling order cost O(log h)
     comparisons per node, plus an O(h) tuple copy.
     """
-    x, eps, step = _search_args(R, x, eps, choice_step)
+    frame = _search_frame(R, x, eps, horizon, choice_step)
 
     def visit(walk, orbit, cover):
         return walk if cover.dense() else None
 
-    # explore the farthest-from-covered successor first (LIFO: push last)
+    # explore the farthest-from-covered successor first (LIFO: push last);
+    # ties go largest first, which a stable sort of the descending list keeps
     def farthest_last(cover, succs):
         pts = cover.points
-        return sorted(succs, key=lambda v: (_distance(pts, pts, v), -v))
+        return sorted(succs[::-1], key=lambda v: _distance(pts, pts, v))
 
-    return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, farthest_last))
+    return WalkSearchResult(*_orbit_dfs(frame, horizon, budget, visit, farthest_last))
 
 
 def nondense_loop_search(
@@ -558,7 +661,7 @@ def nondense_loop_search(
     bounded_walk_search, the orbit is an OrbitCover: O(log h) comparisons per
     node for the density test, plus an O(h) tuple copy.
     """
-    x, eps, step = _search_args(R, x, eps, choice_step)
+    frame = _search_frame(R, x, eps, horizon, choice_step)
 
     def visit(walk, orbit, cover):
         if cover.dense():
@@ -566,7 +669,7 @@ def nondense_loop_search(
         # expanded walks never repeat a point, so a repeat is the last step
         return walk if len(orbit) < len(walk) else None
 
-    return WalkSearchResult(*_orbit_dfs(R, x, eps, horizon, step, budget, visit, memo_first=False))
+    return WalkSearchResult(*_orbit_dfs(frame, horizon, budget, visit, memo_first=False))
 
 
 def sym_branch_cover(
@@ -584,11 +687,11 @@ def sym_branch_cover(
     choice family; the minimum is exact over that family, hence a certified
     upper bound for the relation and exact at this horizon and resolution.
     """
-    x, eps, step = _search_args(R, x, eps, choice_step)
+    frame = _search_frame(R, x, eps, horizon, choice_step)
     # every visited state contributes its orbit; a revisit with fewer steps
     # used gets re-explored, so walks achieving any maximal orbit survive the
     # pruning (a pruned prefix could be spliced with an earlier, shorter one)
-    achieved: dict[frozenset, tuple[Fraction, ...]] = {}
+    achieved: dict[frozenset, tuple] = {}
 
     def visit(walk, orbit, cover):
         known = achieved.get(orbit)
@@ -596,13 +699,13 @@ def sym_branch_cover(
             achieved[orbit] = walk
         return None
 
-    status, _, _ = _orbit_dfs(R, x, eps, horizon, step, budget, visit)
+    status, _, _ = _orbit_dfs(frame, horizon, budget, visit)
     if status == "budget":
         raise BudgetExceededError("walk family too large for branch cover search")
 
     # drop dominated orbits, keep lexicographically least walk per orbit
     pairs = sorted(achieved.items(), key=lambda item: item[1])
-    kept: list[tuple[frozenset, tuple[Fraction, ...]]] = []
+    kept: list[tuple[frozenset, tuple]] = []
     for orbit, walk in pairs:
         if any(orbit < other for other, _ in kept):
             continue
@@ -611,11 +714,12 @@ def sym_branch_cover(
     if len(kept) > max_candidates:
         raise BudgetExceededError("too many candidate walks for branch cover search")
     kept.sort(key=lambda item: item[1])
-    picked = _min_cover(kept, lambda orbit: OrbitCover(R.space, eps, orbit).dense())
+    picked = _min_cover(kept, lambda orbit: OrbitCover._over(frame.cover, orbit).dense())
     if picked is None:
         return BranchCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
     size, idx = picked
-    return BranchCoverResult(size, tuple(kept[i][1] for i in idx), horizon, Certainty.CERTIFIED)
+    witnesses = tuple(frame.exact(kept[i][1]) for i in idx)
+    return BranchCoverResult(size, witnesses, horizon, Certainty.CERTIFIED)
 
 
 # ---------------------------------------------------------------------------

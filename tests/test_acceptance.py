@@ -243,7 +243,7 @@ def test_criterion_07_ex31_grade_growth_and_cover():
                 if b not in singles and not any(lo <= b <= hi for lo, hi in ranges):
                     failures.append("cover witness is not a walk")
                     break
-    _report(7, "strictly growing density thresholds and a certified 2-walk cover", t0, 120.0, failures)
+    _report(7, "strictly growing density thresholds and a certified 2-walk cover", t0, 10.0, failures)
 
 
 def test_criterion_08_exhura_certificate_and_search():
@@ -263,7 +263,7 @@ def test_criterion_08_exhura_certificate_and_search():
             failures.append(f"unexpected dense walk from {F(k, 32)}")
         elif res.certainty is not Certainty.UNKNOWN_AT_HORIZON:
             failures.append("non-find must be reported unknown-at-horizon")
-    _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 30.0, failures)
+    _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 10.0, failures)
 
 
 def test_criterion_09_exxi_statement_separation():

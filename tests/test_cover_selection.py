@@ -23,11 +23,10 @@ from crdyn.symbolic import (
     Segment,
     SinglePoint,
     SymbolicRelation,
-    _orbit_dfs,
-    _search_args,
     sym_branch_cover,
 )
 from crdyn.tree import unique_infinite_branch
+from test_integer_frame import ref_orbit_dfs, ref_search_args
 
 # ---------------------------------------------------------------------------
 # references
@@ -46,7 +45,7 @@ def ref_combination_scan(kept, dense):
 
 def ref_sym_branch_cover(R, x, eps, horizon, choice_step=None, budget=50000, max_candidates=128):
     """sym_branch_cover with its own combination loop, as (size, witnesses, horizon, certainty)."""
-    x, eps, step = _search_args(R, x, eps, choice_step)
+    x, eps, step = ref_search_args(R, x, eps, choice_step)
     achieved = {}
 
     def visit(walk, orbit, cover):
@@ -55,7 +54,7 @@ def ref_sym_branch_cover(R, x, eps, horizon, choice_step=None, budget=50000, max
             achieved[orbit] = walk
         return None
 
-    status, _, _ = _orbit_dfs(R, x, eps, horizon, step, budget, visit)
+    status, _, _ = ref_orbit_dfs(R, x, eps, horizon, step, budget, visit)
     if status == "budget":
         raise BudgetExceededError("walk family too large for branch cover search")
     pairs = sorted(achieved.items(), key=lambda item: item[1])

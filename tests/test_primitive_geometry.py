@@ -234,6 +234,18 @@ class TestPrimitiveMethods:
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.x1 = F(1)
 
+    def test_mirror_is_built_once_and_is_not_a_field(self):
+        a = Segment(0, 0, 1, F(1, 2))
+        m = a.mirrored()
+        assert a.mirrored() is m and m.mirrored() is a
+        assert m == Segment(0, 0, F(1, 2), 1) and hash(m) == hash(Segment(0, 0, F(1, 2), 1))
+        assert a == Segment(0, 0, 1, F(1, 2)) and hash(a) == hash(Segment(0, 0, 1, F(1, 2)))
+        assert [f.name for f in dataclasses.fields(m)] == ["x1", "y1", "x2", "y2"]
+        assert repr(m) == (
+            "Segment(x1=Fraction(0, 1), y1=Fraction(0, 1), x2=Fraction(1, 2), y2=Fraction(1, 1))"
+        )
+        assert dataclasses.asdict(a) == {"x1": 0, "y1": 0, "x2": 1, "y2": F(1, 2)}
+
 
 # ---------------------------------------------------------------------------
 # the symbolic functions

@@ -18,6 +18,7 @@ from crdyn.symbolic import (
     point_successors,
     projections,
     region_difference_closure,
+    successor_choices,
     sym_branch_cover,
     sym_image,
     sym_preimage,
@@ -376,3 +377,36 @@ class TestNegativeHorizon:
     def test_sym_reach_chain(self):
         with pytest.raises(ValueError, match="non-negative"):
             sym_reach_chain(self.ex1(), Region1D.point(0), -1)
+
+
+class TestSearchArguments:
+    """The three searches refuse a negative horizon and a step that is not positive."""
+
+    SEARCHES = (bounded_walk_search, nondense_loop_search, sym_branch_cover)
+
+    def test_negative_horizon(self):
+        for search in self.SEARCHES:
+            for horizon in (-1, -2):
+                with pytest.raises(ValueError, match="non-negative"):
+                    search(CROSS_MID, F(1, 2), F(1, 4), horizon)
+
+    def test_step_that_is_not_positive(self):
+        # a negative step used to count down forever, and 0 to divide by zero
+        for search in self.SEARCHES:
+            for step in (F(-1, 4), 0):
+                with pytest.raises(ValueError, match="choice_step must be positive"):
+                    search(CROSS_MID, F(1, 2), F(1, 4), 5, choice_step=step)
+        for step in (F(-1, 4), 0):
+            with pytest.raises(ValueError, match="choice_step must be positive"):
+                successor_choices(CROSS_MID, F(1, 2), step)
+
+    def test_eps_that_is_not_positive(self):
+        for search in self.SEARCHES:
+            for eps in (0, F(-1, 4)):
+                with pytest.raises(ValueError, match="eps must be positive"):
+                    search(CROSS_MID, F(1, 2), eps, 5)
+
+    def test_horizon_zero_is_the_start_alone(self):
+        assert bounded_walk_search(CROSS_MID, F(1, 2), 1, 0).witness == (F(1, 2),)
+        assert nondense_loop_search(CROSS_MID, F(1, 2), F(1, 4), 0).status == "exhausted"
+        assert sym_branch_cover(CROSS_MID, F(1, 2), F(1, 4), 0).size is None
