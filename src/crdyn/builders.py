@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .classify import BudgetExceededError
 from .region import OrbitCover, Region1D, Space1D, _as_fraction, eps_dense, grid_cells
-from .symbolic import Segment
+from .symbolic import Segment, _window_image
 
 F = Fraction
 
@@ -73,7 +73,7 @@ def map_value(segments: list[Segment], t) -> Fraction:
     """Evaluate a single-valued piecewise-linear graph at t."""
     t = _as_fraction(t)
     values = set()
-    for ylo, yhi in filter(None, (seg.image_over(t, t) for seg in segments)):
+    for ylo, yhi in filter(None, (_window_image(seg._row, t, t) for seg in segments)):
         if ylo != yhi:
             raise ValueError("vertical segment: not a function graph")
         values.add(ylo)
@@ -97,7 +97,7 @@ def map_preimages(segments: list[Segment], y) -> list[Fraction]:
     """
     y = _as_fraction(y)
     out = set()
-    for tlo, thi in filter(None, (seg.mirrored().image_over(y, y) for seg in segments)):
+    for tlo, thi in filter(None, (_window_image(seg.mirrored()._row, y, y) for seg in segments)):
         if tlo != thi:
             raise ValueError("map has a flat piece at this value; preimages are not finite")
         out.add(tlo)

@@ -156,9 +156,6 @@ class Region1D:
                 return False
         return True
 
-    def intersects(self, other: "Region1D") -> bool:
-        return not self.intersect(other).is_empty()
-
     def intersects_open_interval(self, lo, hi) -> bool:
         """True when the region meets the OPEN interval (lo, hi)."""
         lo = _as_fraction(lo)
@@ -169,15 +166,6 @@ class Region1D:
 
     def isolated_points(self) -> tuple[Fraction, ...]:
         return tuple(lo for lo, hi in self.pieces if lo == hi)
-
-    def proper_intervals(self) -> tuple[Piece, ...]:
-        return tuple(p for p in self.pieces if p[0] < p[1])
-
-    def total_point_count(self) -> int | None:
-        """Number of elements when the region is finite, else None."""
-        if any(lo < hi for lo, hi in self.pieces):
-            return None
-        return len(self.pieces)
 
     def distance_to(self, x) -> Fraction | None:
         """Exact distance from the number x to the region; None when empty."""
@@ -380,6 +368,13 @@ class OrbitCover:
         return self._frame.near_ends(self.points, self.points)
 
 
+def _cell_counts(space: Space1D, delta: Fraction) -> list[int]:
+    """Cells per space interval on the delta grid: ceil(width / delta), at least one."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return [max(-((lo - hi) // delta), 1) for lo, hi in space.intervals]
+
+
 def grid_cells(space: Space1D, delta) -> list[Piece]:
     """Closed cells of width <= delta covering the space, ascending.
 
@@ -387,18 +382,10 @@ def grid_cells(space: Space1D, delta) -> list[Piece]:
     degenerate cell.
     """
     delta = _as_fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    cells: list[Piece] = []
-    for lo, hi in space.intervals:
-        width = hi - lo
-        k = -((-width) // delta)  # ceil(width / delta)
-        k = max(int(k), 1)
-        step = width / k
-        for i in range(k):
-            cells.append((lo + i * step, lo + (i + 1) * step))
-    for p in space.isolated:
-        cells.append((p, p))
+    cells = [(p, p) for p in space.isolated]
+    for (lo, hi), k in zip(space.intervals, _cell_counts(space, delta)):
+        step = (hi - lo) / k
+        cells += ((lo + i * step, lo + (i + 1) * step) for i in range(k))
     cells.sort()
     return cells
 

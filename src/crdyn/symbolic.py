@@ -6,9 +6,10 @@ Images, preimages, reach sets, projections, grid discretizations, and the
 bounded walk searches are computed exactly; when a question cannot be decided
 at a finite horizon the answer says so instead of guessing.
 
-Each relation is compiled once, when it is built: its primitives become rows
-of a private table sorted by x-range, so successors and images bisect to the
-rows that can meet a point or a window instead of scanning every primitive.
+Each primitive computes one row (its x-range, end values and slope) when it
+is built, and each relation sorts its primitives' rows once into a private
+table, so successors, images and discretize bisect to the rows that can meet
+a point or a window instead of scanning every primitive.
 """
 
 from __future__ import annotations
@@ -28,23 +29,64 @@ from .region import (
     Region1D,
     Space1D,
     _as_fraction,
+    _cell_counts,
     _CoverFrame,
     _distance,
     _HI,
     _LO,
     _merge,
+    _ZERO,
     grid_cells,
 )
 
 
+def _window_image(row: tuple, lo, hi) -> tuple | None:
+    """Image interval of the x-window [lo, hi] under one row, or None when they miss.
+
+    A row is (ax, bx, ay, by, slope): the x-range, the y at ax and at bx, and
+    the slope.  A vertical segment has slope None and ay < by (its column); a
+    single point is (x, x, y, y, 0), flat like a horizontal segment.  Window
+    ends outside the x-range take the row's end values, with no arithmetic.
+    """
+    ax, bx, ay, by, slope = row
+    if lo > hi or hi < ax or lo > bx:
+        return None
+    if slope is None:
+        return (ay, by)
+    if not slope:
+        return (ay, ay)
+    yc = ay if lo <= ax else ay + (lo - ax) * slope
+    yd = by if hi >= bx else ay + (hi - ax) * slope
+    return (yc, yd) if slope > 0 else (yd, yc)
+
+
+class _Primitive:
+    """The geometry both primitive kinds share, read off the one row each computes when built.
+
+    The row (see `_window_image`) and a segment's mirror are kept outside the
+    dataclass fields, so equality, hashing and repr see only the coordinates.
+    """
+
+    __slots__ = ()
+
+    def x_extent(self) -> tuple[Fraction, Fraction]:
+        return self._row[:2]
+
+    def y_extent(self) -> tuple[Fraction, Fraction]:
+        _, _, ay, by, _ = self._row
+        return (ay, by) if ay <= by else (by, ay)
+
+    def image_over(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+        """Image interval of the x-window [lo, hi], or None when they miss."""
+        return _window_image(self._row, lo, hi)
+
+
 @dataclass(frozen=True)
-class Segment:
+class Segment(_Primitive):
     """Closed planar segment; may be vertical, horizontal, or sloped.
 
-    The endpoints sorted by x and the slope (None when vertical) are computed
-    once, and the mirrored segment on first use; both are kept outside the
-    dataclass fields, so equality, hashing and repr see only the four
-    coordinates.
+    Its row sorts the endpoints by x and divides for the slope once; the
+    mirrored segment is built on first use.
     """
 
     x1: Fraction
@@ -59,27 +101,8 @@ class Segment:
             raise ValueError("degenerate segment; use SinglePoint")
         (ax, ay), (bx, by) = sorted(((self.x1, self.y1), (self.x2, self.y2)))
         slope = None if ax == bx else (by - ay) / (bx - ax)
-        object.__setattr__(self, "_line", (ax, ay, bx, by, slope))
+        object.__setattr__(self, "_row", (ax, bx, ay, by, slope))
         object.__setattr__(self, "_mirror", None)
-
-    def x_extent(self) -> tuple[Fraction, Fraction]:
-        ax, _, bx, _, _ = self._line
-        return (ax, bx)
-
-    def y_extent(self) -> tuple[Fraction, Fraction]:
-        return (min(self.y1, self.y2), max(self.y1, self.y2))
-
-    def image_over(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
-        """Image interval of the x-window [lo, hi], or None when they miss."""
-        ax, ay, bx, by, slope = self._line
-        c, d = max(ax, lo), min(bx, hi)
-        if c > d:
-            return None
-        if slope is None:
-            return (ay, by)  # vertical: sorted endpoints put the lower y first
-        yc = ay + (c - ax) * slope
-        yd = ay + (d - ax) * slope
-        return (yc, yd) if slope >= 0 else (yd, yc)
 
     def mirrored(self) -> "Segment":
         """The segment with its coordinates swapped, built once; its mirror is self."""
@@ -91,24 +114,17 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class SinglePoint:
+class SinglePoint(_Primitive):
     """One point of the relation: a degenerate run whose image is a single value."""
 
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "y", _as_fraction(self.y))
-
-    def x_extent(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.x)
-
-    def y_extent(self) -> tuple[Fraction, Fraction]:
-        return (self.y, self.y)
-
-    def image_over(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
-        return (self.y, self.y) if lo <= self.x <= hi else None
+        x, y = _as_fraction(self.x), _as_fraction(self.y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_row", (x, x, y, y, _ZERO))
 
     def mirrored(self) -> "SinglePoint":
         return SinglePoint(self.y, self.x)
@@ -118,14 +134,11 @@ Primitive = Segment | SinglePoint
 
 
 class _PrimitiveTable:
-    """The primitives of one relation, compiled once into rows sorted by x-range start.
+    """The rows of one relation's primitives (see `_window_image`), sorted by x-range start.
 
-    A row is (ax, bx, ay, by, slope): the x-range, the y at ax and at bx, and
-    the slope.  A vertical segment has slope None and ay < by (its column); a
-    single point is a row with ax == bx and ay == by, and slope 0 like a
-    horizontal segment.  The sort is stable, so rows that start at the same x
-    keep their primitive order.  The dyadic choice grid of each vertical row
-    is cached for one step, the last one asked for: a search keeps its step.
+    The sort is stable, so rows that start at the same x keep their primitive
+    order.  The dyadic choice grid of each vertical row is cached for one
+    step, the last one asked for: a search keeps its step.
 
     When every slope is an integer (`integral`), `scaled(D)` gives the same
     table with every number multiplied by D, as ints, for any multiple D of
@@ -135,38 +148,22 @@ class _PrimitiveTable:
 
     __slots__ = ("rows", "starts", "step", "grids", "integral", "denominator", "_scaled")
 
-    def __init__(self, primitives: Sequence[Primitive]):
-        rows = []
-        for prim in primitives:
-            ax, bx = prim.x_extent()
-            ay, by = prim.image_over(ax, ax)  # a column's range, else the value at ax
-            if ax < bx:
-                by = prim.image_over(bx, bx)[0]
-                slope = (by - ay) / (bx - ax)
-            else:
-                slope = None if ay < by else Fraction(0)
-            rows.append((ax, bx, ay, by, slope))
-        rows.sort(key=_LO)
-        self._fill(rows)
+    def __init__(self, rows: Sequence[tuple]):
+        self.rows = rows = sorted(rows, key=_LO)
+        self.starts = [row[0] for row in rows]
+        self.step = None
+        self.grids: dict[int, list] = {}
         self.integral = all(row[4] is None or row[4].denominator == 1 for row in rows)
         self.denominator = math.lcm(*(v.denominator for row in rows for v in row[:4]))
         self._scaled: tuple[int, _PrimitiveTable] | None = None
 
-    def _fill(self, rows: list[tuple]) -> None:
-        self.rows = rows
-        self.starts = [row[0] for row in rows]
-        self.step = None
-        self.grids: dict[int, list] = {}
-
     def scaled(self, D: int) -> "_PrimitiveTable":
         """This table with its numbers times D, as ints."""
         if self._scaled is None or self._scaled[0] != D:
-            table = object.__new__(_PrimitiveTable)
-            table._fill([
+            table = _PrimitiveTable([
                 (*(_times(v, D) for v in row[:4]), None if row[4] is None else int(row[4]))
                 for row in self.rows
             ])
-            table.integral, table.denominator, table._scaled = True, 1, None
             self._scaled = (D, table)
         return self._scaled[1]
 
@@ -230,7 +227,7 @@ class SymbolicRelation:
                 raise ValueError(f"primitive {prim} leaves the space")
         self.space = space
         self.primitives = primitives
-        self._table = _PrimitiveTable(primitives)
+        self._table = _PrimitiveTable([prim._row for prim in primitives])
         self._mirror = None
 
     def mirrored(self) -> "SymbolicRelation":
@@ -256,6 +253,7 @@ def sym_image(R: SymbolicRelation, A: Region1D) -> Region1D:
     meet each row is found by one bisect from the previous row's; the sweep
     walks forward while pieces start inside the row's x-range.  A row whose
     whole x-range lies in a piece keeps its end values, with no arithmetic.
+    The sweep inlines `_window_image`, saving a call per (row, piece) pair.
     """
     pieces = A.pieces
     out: list[tuple[Fraction, Fraction]] = []
@@ -293,8 +291,8 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
 
     For each piece of a, one bisect finds the first piece of b that can meet
     it, and the sweep walks forward while b's pieces start inside it.  A
-    point of b inside a piece of a leaves two touching pieces, which the
-    final pass joins.
+    point of b inside a piece of a leaves two touching pieces, which _merge
+    joins.
     """
     bp = b.pieces
     cut: list[tuple[Fraction, Fraction]] = []
@@ -311,13 +309,7 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
             j += 1
         else:
             cut.append((lo, hi))
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in cut:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return Region1D._wrap(tuple(out))
+    return Region1D._wrap(_merge(cut))
 
 
 def _frontier_chase(R: SymbolicRelation, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
@@ -394,21 +386,21 @@ def discretize(
     relation; positive ones need symbolic witnesses.  The returned eps-net
     predicate measures density of box unions at eps = delta.
 
-    Each primitive is swept column by column: over the cells its x-extent
-    meets, its exact y-range within the column picks the rows it meets,
-    which is the closed segment-box test at O(cells + edges) per primitive.
+    Each row of the compiled table is swept column by column: over the cells
+    its x-range meets, its exact y-range within the column picks the rows it
+    meets, which is the closed segment-box test at O(cells + edges) per row.
+    The box count is checked against box_cap before any cell is built.
     """
     delta = _as_fraction(delta)
+    count = len(R.space.isolated) + sum(_cell_counts(R.space, delta))
+    if count > box_cap:
+        raise BudgetExceededError(f"{count} grid boxes exceed the cap of {box_cap}")
     cells = grid_cells(R.space, delta)
-    if len(cells) > box_cap:
-        raise BudgetExceededError(
-            f"{len(cells)} grid boxes exceed the cap of {box_cap}"
-        )
     labels = [f"b{i}" for i in range(len(cells))]
     edges = set()
-    for prim in R.primitives:
-        for i in _meeting(cells, *prim.x_extent()):
-            ylo, yhi = prim.image_over(*cells[i])
+    for row in R._table.rows:
+        for i in _meeting(cells, row[0], row[1]):
+            ylo, yhi = _window_image(row, *cells[i])
             edges.update((i, j) for j in _meeting(cells, ylo, yhi))
     space = FiniteSpace(labels)
     finite = FiniteRelation(space, edges)

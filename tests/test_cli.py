@@ -112,6 +112,12 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_reach_refuses_a_point_outside_the_space(self, docs):
+        code, out, err = run_cli("reach", docs["ex1"], "--point", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 5 is not a point of the space\n"
+
     def test_range_errors_below_the_argument_layer_exit_two(self, docs, monkeypatch):
         from crdyn import cli
 
