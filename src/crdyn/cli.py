@@ -254,8 +254,8 @@ def _cmd_transitive(args) -> int:
             print("internal inconsistency in the characterization suite", file=sys.stderr)
             return 1
         return 0
-    print(_header("transitive", file=args.file, delta=eps, horizon=horizon))
     report = grid_transitivity_check(relation, eps, horizon, positive_only=args.plus)
+    print(_header("transitive", file=args.file, delta=eps, horizon=horizon))
     label = "+transitive" if args.plus else "transitive"
     if report.transitive:
         print(f"{label}-at-grid: certified (max steps {report.max_steps_needed})")

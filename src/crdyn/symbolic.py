@@ -137,8 +137,9 @@ class _PrimitiveTable:
     """The rows of one relation's primitives (see `_window_image`), sorted by x-range start.
 
     The sort is stable, so rows that start at the same x keep their primitive
-    order.  The dyadic choice grid of each vertical row is cached for one
-    step, the last one asked for: a search keeps its step.
+    order.  Each point's successor list is memoised per step for the life of
+    the table, so every search on the table shares it, whatever order the
+    searches and their steps come in.
 
     When every slope is an integer (`integral`), `scaled(D)` gives the same
     table with every number multiplied by D, as ints, for any multiple D of
@@ -146,13 +147,12 @@ class _PrimitiveTable:
     built on first use and kept for the last D asked for.
     """
 
-    __slots__ = ("rows", "starts", "step", "grids", "integral", "denominator", "_scaled")
+    __slots__ = ("rows", "starts", "memo", "integral", "denominator", "_scaled")
 
     def __init__(self, rows: Sequence[tuple]):
         self.rows = rows = sorted(rows, key=_LO)
         self.starts = [row[0] for row in rows]
-        self.step = None
-        self.grids: dict[int, list] = {}
+        self.memo: dict[object, dict] = {}  # step -> {point: sorted successors}
         self.integral = all(row[4] is None or row[4].denominator == 1 for row in rows)
         self.denominator = math.lcm(*(v.denominator for row in rows for v in row[:4]))
         self._scaled: tuple[int, _PrimitiveTable] | None = None
@@ -182,23 +182,22 @@ class _PrimitiveTable:
                 values.add(ay + (p - ax) * slope if slope else ay)
         return values, columns
 
-    def grid(self, i: int, step) -> list:
-        """The choice points of vertical row i at this step."""
-        if step != self.step:
-            self.step = step
-            self.grids = {}
-        got = self.grids.get(i)
-        if got is None:
-            _, _, ay, by, _ = self.rows[i]
-            got = self.grids[i] = _range_choices(ay, by, step)
-        return got
-
     def choices(self, p, step) -> list:
-        """The sorted successors of p, with each column at p sampled on its grid."""
-        out, columns = self.at(p)
-        for i in columns:
-            out.update(self.grid(i, step))
-        return sorted(out)
+        """The sorted successors of p, with each column at p sampled on its grid.
+
+        The list returned is the memo's own, shared by every later caller:
+        callers must not change it.
+        """
+        memo = self.memo.get(step)
+        if memo is None:
+            memo = self.memo[step] = {}
+        got = memo.get(p)
+        if got is None:
+            out, columns = self.at(p)
+            for i in columns:
+                out.update(_range_choices(*self.rows[i][2:4], step))
+            got = memo[p] = sorted(out)
+        return got
 
 
 def _times(v: Fraction, D: int) -> int:
@@ -375,8 +374,19 @@ def _meeting(cells: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction)
     return range(first, bisect.bisect_right(cells, hi, first, key=_LO))
 
 
+_BOX_CAP = 4096  # grid boxes: discretize's default cap, grid_transitivity_check's fixed one
+
+
+def _capped_cells(space: Space1D, delta: Fraction, cap: int) -> list[tuple[Fraction, Fraction]]:
+    """The space's delta-grid cells, refused before any is built when there are more than cap."""
+    count = len(space.isolated) + sum(_cell_counts(space, delta))
+    if count > cap:
+        raise BudgetExceededError(f"{count} grid boxes exceed the cap of {cap}")
+    return grid_cells(space, delta)
+
+
 def discretize(
-    R: SymbolicRelation, delta, box_cap: int = 4096
+    R: SymbolicRelation, delta, box_cap: int = _BOX_CAP
 ) -> tuple[FiniteRelation, EpsNet]:
     """Sound grid outer approximation.
 
@@ -391,11 +401,7 @@ def discretize(
     meets, which is the closed segment-box test at O(cells + edges) per row.
     The box count is checked against box_cap before any cell is built.
     """
-    delta = _as_fraction(delta)
-    count = len(R.space.isolated) + sum(_cell_counts(R.space, delta))
-    if count > box_cap:
-        raise BudgetExceededError(f"{count} grid boxes exceed the cap of {box_cap}")
-    cells = grid_cells(R.space, delta)
+    cells = _capped_cells(R.space, _as_fraction(delta), box_cap)
     labels = [f"b{i}" for i in range(len(cells))]
     edges = set()
     for row in R._table.rows:
@@ -448,7 +454,8 @@ def _positive_step(choice_step) -> Fraction:
 def successor_choices(
     R: SymbolicRelation, p: Fraction, choice_step: Fraction
 ) -> list[Fraction]:
-    return R._table.choices(_as_fraction(p), _positive_step(choice_step))
+    """The sorted successors of p, each column at p sampled every choice_step; a fresh list."""
+    return list(R._table.choices(_as_fraction(p), _positive_step(choice_step)))
 
 
 @dataclass(frozen=True)
@@ -474,7 +481,7 @@ class WalkSearchResult:
 
 
 class _SearchFrame:
-    """The numbers one walk search runs on, and its memoised successors.
+    """The numbers one walk search runs on.
 
     When every slope of R is an integer, the search runs on ints: with D the
     least common denominator of the table rows, the space's component ends,
@@ -485,13 +492,11 @@ class _SearchFrame:
     A relation with a non-integer slope runs the same search on its own
     Fractions, at D = 1 (`scale` None).  Scaling by a positive D keeps every
     order and comparison the search makes, so it visits the same states and
-    finds the same witness either way.
-
-    `successors` keeps each point's sorted successor list for the rest of
-    the search; callers must not change the lists.
+    finds the same witness either way.  Successors come from the memo of the
+    table the search reads (`_PrimitiveTable.choices`).
     """
 
-    __slots__ = ("scale", "table", "x", "step", "cover", "_succ")
+    __slots__ = ("scale", "table", "x", "step", "cover")
 
     def __init__(self, R: SymbolicRelation, x: Fraction, eps: Fraction, step: Fraction):
         table = R._table
@@ -510,13 +515,6 @@ class _SearchFrame:
         self.table = table
         self.x, self.step = x, step
         self.cover = _CoverFrame(comps, eps)
-        self._succ: dict = {}
-
-    def successors(self, v) -> list:
-        got = self._succ.get(v)
-        if got is None:
-            got = self._succ[v] = self.table.choices(v, self.step)
-        return got
 
     def exact(self, walk: tuple) -> tuple[Fraction, ...]:
         """The walk in the relation's own numbers."""
@@ -564,7 +562,7 @@ def _orbit_dfs(
         best[key] = used
         return False
 
-    successors = frame.successors
+    choices, step = frame.table.choices, frame.step
     nodes = 0
     stack = [((), frozenset(), OrbitCover._over(frame.cover), frame.x)]
     push = stack.append
@@ -588,7 +586,7 @@ def _orbit_dfs(
             continue
         if used >= horizon:
             continue
-        for w in order(cover, successors(v)):
+        for w in order(cover, choices(v, step)):
             push((walk, orbit, cover, w))
     return "exhausted", None, nodes
 
@@ -761,12 +759,12 @@ def grid_transitivity_check(
     U is chased as a closed cell (its image chain is computed exactly); V is
     met when the chain intersects the open cell interior, or contains the
     point for degenerate cells.  positive_only starts the chase at n = 1, so
-    at horizon 0 it meets no cell.
+    at horizon 0 it meets no cell.  The cost grows with the square of the cell
+    count, so more than `_BOX_CAP` cells raise BudgetExceededError.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    delta = _as_fraction(delta)
-    cells = grid_cells(R.space, delta)
+    cells = _capped_cells(R.space, _as_fraction(delta), _BOX_CAP)
     misses: list[tuple[int, int]] = []
     max_steps = 0
     for ui, (ulo, uhi) in enumerate(cells):

@@ -1,12 +1,18 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from crdyn import gallery
 from crdyn.cli import main
 from crdyn.io import parse_instance, serialize_instance
+from crdyn.region import format_fraction
+from crdyn.symbolic import SymbolicRelation
+
+GOLDEN_INTERVAL_CLASSIFY = Path(__file__).resolve().parent / "golden" / "interval_classify.txt"
 
 
 def run_cli(*argv):
@@ -152,6 +158,12 @@ class TestTransitive:
         assert code == 0
         assert "certified" in out
 
+    def test_oversized_grid_is_refused_before_the_report(self, docs):
+        code, out, err = run_cli("transitive", docs["ex1"], "--eps", "1/100000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: 100000 grid boxes exceed the cap of 4096\n"
+
     def test_plus_grid_at_horizon_zero_reaches_nothing(self, docs):
         # the +chase starts at n = 1, so horizon 0 leaves all 4 x 4 cell pairs unreached
         code, out, _ = run_cli("transitive", docs["ex1"], "--plus", "--eps", "1/4", "--horizon", "0")
@@ -254,3 +266,32 @@ class TestRoundTripAllGallery:
         for name in gallery.names():
             text = gallery.build(name).document()
             assert serialize_instance(parse_instance(text)) == text
+
+
+def interval_classify_report() -> str:
+    """`crdyn classify` stdout on every gallery interval instance, each run under its command line.
+
+    Each instance is written to `<name>.json` in the working directory, so
+    the header's file= is the bare name.  The points are the first interval
+    end, 1/2 and each isolated point (1/3 when there is none), each at eps
+    1/8 and 1/32 and the default horizon.
+    """
+    chunks = []
+    for name in gallery.names():
+        inst = gallery.build(name)
+        if not isinstance(inst.relation, SymbolicRelation):
+            continue
+        space = inst.relation.space
+        Path(f"{name}.json").write_text(inst.document())
+        for x in [space.intervals[0][0], F(1, 2), *(space.isolated or [F(1, 3)])]:
+            for eps in ("1/8", "1/32"):
+                argv = ("classify", f"{name}.json", "--point", format_fraction(x), "--eps", eps)
+                code, out, err = run_cli(*argv)
+                assert (code, err) == (0, ""), argv
+                chunks.append(f"$ crdyn {' '.join(argv)}\n{out}")
+    return "".join(chunks)
+
+
+def test_interval_classify_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert interval_classify_report() == GOLDEN_INTERVAL_CLASSIFY.read_text()

@@ -21,6 +21,7 @@ from crdyn.symbolic import (
     SinglePoint,
     SymbolicRelation,
     _orbit_dfs,
+    _PrimitiveTable,
     _search_frame,
     bounded_walk_search,
     nondense_loop_search,
@@ -298,13 +299,17 @@ def test_integer_slope_relations_run_on_ints():
 def test_successor_lists_are_computed_once_and_never_changed():
     R = gallery.build("ex1").relation
     frame = _search_frame(R, F(1, 2), F(1, 8), 6, None)
-    first = frame.successors(frame.x)
-    assert frame.successors(frame.x) is first
+    table = frame.table
+    first = table.choices(frame.x, frame.step)
+    assert table.choices(frame.x, frame.step) is first
     assert first == [v * frame.scale for v in successor_choices(R, F(1, 2), F(1, 16))]
     _orbit_dfs(frame, 6, 2000, lambda walk, orbit, cover: None)
-    assert frame.successors(frame.x) is first
-    for v, succs in frame._succ.items():
-        assert succs == frame.table.choices(v, frame.step)
+    assert table.choices(frame.x, frame.step) is first
+    assert frame.step in table.memo
+    lists = table.memo[frame.step]
+    fresh = _PrimitiveTable(table.rows)  # same rows, empty memo
+    for v, succs in lists.items():
+        assert succs == fresh.choices(v, frame.step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""The successor memo on the compiled table, shared by every search on a relation.
+
+Each search below runs on one relation per gallery interval instance, whose
+table memo is kept from search to search, and again on a freshly parsed copy
+of the relation, whose memo starts empty.  The searches interleave two choice
+steps as a, b, a at one eps, so on integer-slope relations both steps run on
+the same scaled table and only the memo's step key tells their column grids
+apart; the starts change the frame's denominator, which rebuilds the scaled
+table.  Status, witness and node count must not depend on what the memo
+already held.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from crdyn import gallery
+from crdyn.classify import BudgetExceededError
+from crdyn.io import parse_instance
+from crdyn.symbolic import (
+    SymbolicRelation,
+    bounded_walk_search,
+    nondense_loop_search,
+    successor_choices,
+    sym_branch_cover,
+)
+
+INTERVAL_NAMES = [
+    name for name in gallery.names() if isinstance(gallery.build(name).relation, SymbolicRelation)
+]
+EPS = F(1, 16)
+STEPS = (F(1, 8), F(1, 16), F(1, 8))  # a, b, a: one frame denominator, two choice grids
+
+
+def fresh(name: str) -> SymbolicRelation:
+    return parse_instance(gallery.build(name).document())
+
+
+def branch_cover(R, x, step):
+    # a small candidate cap keeps the cover selection short; a refusal is compared as a result
+    try:
+        return sym_branch_cover(R, x, EPS, 4, step, budget=2000, max_candidates=16)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+SEARCHES = (
+    lambda R, x, step: bounded_walk_search(R, x, EPS, 40, step),
+    lambda R, x, step: nondense_loop_search(R, x, EPS, 40, step),
+    branch_cover,
+)
+
+
+def test_the_interval_instances_are_all_here():
+    assert len(INTERVAL_NAMES) == 12
+
+
+@pytest.mark.parametrize("name", INTERVAL_NAMES)
+def test_searches_sharing_a_memo_match_searches_on_a_fresh_copy(name):
+    shared = fresh(name)
+    space = shared.space
+    starts = [space.intervals[0][0], F(1, 2), F(1, 3), *space.isolated]
+    for x in starts:
+        for step in STEPS:
+            for search in SEARCHES:
+                assert search(shared, x, step) == search(fresh(name), x, step), (x, step)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex4", "ff"])
+def test_editing_a_successor_list_changes_no_later_answer(name):
+    R = fresh(name)
+    x = F(1, 2)
+    got = successor_choices(R, x, STEPS[0])
+    want = list(got)
+    got.clear()
+    got.append(F(7))
+    assert successor_choices(R, x, STEPS[0]) == want
+    # on ex4 the search reads the same table as successor_choices
+    assert bounded_walk_search(R, x, EPS, 40, STEPS[0]) == bounded_walk_search(
+        fresh(name), x, EPS, 40, STEPS[0]
+    )
+
+
+def test_a_new_step_keeps_the_lists_of_the_others():
+    # the memo holds every step asked for, so its hits do not depend on query order
+    table = fresh("ex4")._table
+    a, b = STEPS[0], STEPS[1]
+    first = table.choices(F(1, 2), a)
+    table.choices(F(1, 2), b)
+    assert table.choices(F(1, 2), a) is first
+    assert set(table.memo) == {a, b}

@@ -325,6 +325,20 @@ class TestGridTransitivity:
         report = grid_transitivity_check(CROSS_ZERO, F(1, 4), 16)
         assert not report.transitive
 
+    def test_oversized_grid_is_refused_before_any_chase(self, monkeypatch):
+        def no_image(*args):
+            raise AssertionError("the grid was chased")
+
+        monkeypatch.setattr("crdyn.symbolic.sym_image", no_image)
+        with pytest.raises(BudgetExceededError, match="^100000 grid boxes exceed the cap of 4096$"):
+            grid_transitivity_check(gallery.build("ex1").relation, F(1, 100000), 60)
+        # the cap counts isolated points: [0, 1] u {2} has 4095 + 1 cells at 1/4095
+        ff = gallery.build("ff").relation
+        with pytest.raises(BudgetExceededError, match="^4097 grid boxes"):
+            grid_transitivity_check(ff, F(1, 4096), 1)
+        with pytest.raises(AssertionError, match="chased"):
+            grid_transitivity_check(ff, F(1, 4095), 1)
+
     def test_forward_union_modes(self):
         # from the top cell the chain never leaves {1}, so the positive union
         # is a single point while the zero-step union keeps the cell
