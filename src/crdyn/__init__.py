@@ -44,10 +44,12 @@ from .finite import (
 )
 from .region import Region1D, Space1D, eps_dense
 from .symbolic import (
+    IntervalPointTag,
     Segment,
     SinglePoint,
     SymbolicRelation,
     bounded_walk_search,
+    classify_interval_point,
     discretize,
     grid_transitivity_check,
     projections,

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import gallery
 from .classify import (
     BudgetExceededError,
+    Certainty,
     IllegalPointError,
     characterization_suite,
     classify_all,
@@ -27,14 +28,12 @@ from .classify import (
 from .density import Exhaustive
 from .finite import FiniteRelation, InvalidInstanceError, mahavier_count, mahavier_enumerate
 from .io import parse_document, serialize_instance
-from .region import Region1D, eps_dense, format_fraction, parse_fraction
+from .region import Region1D, format_fraction, parse_fraction
 from .symbolic import (
+    IntervalPointTag,
     SymbolicRelation,
-    bounded_walk_search,
+    classify_interval_point,
     grid_transitivity_check,
-    is_total,
-    nondense_loop_search,
-    sym_image,
     sym_reach_chain,
 )
 from .tree import build_tree, dot_export
@@ -155,62 +154,35 @@ def _cmd_classify(args) -> int:
         return 0
     if args.point is None:
         raise _UsageError("interval instances need --point")
-    x = _space_point(relation, args.point)
+    tag = classify_interval_point(relation, _space_point(relation, args.point), eps, horizon)
     print(header)
-    rows = _symbolic_point_rows(relation, x, eps, horizon)
     print(f"{'claim':<22} {'status':<20} detail")
-    for claim, status, detail in rows:
+    for claim, status, detail in _interval_rows(tag):
         print(f"{claim:<22} {status:<20} {detail}")
     return 0
 
 
-def _symbolic_point_rows(R: SymbolicRelation, x: Fraction, eps: Fraction, horizon: int):
-    rows = []
-    if is_total(R):
-        rows.append(("legal", "certified", "every point has a successor"))
-        legal = True
-    else:
-        images = Region1D.point(x)
-        legal = None
-        for n in range(1, horizon + 1):
-            images = sym_image(R, images)
-            if images.is_empty():
-                rows.append(("legal", "refuted", f"images die out at step {n}"))
-                legal = False
-                break
-        if legal is None:
-            rows.append(("legal", "unknown-at-horizon", "images stay non-empty"))
-    if legal is False:
-        rows.append(("verdict", "illegal", ""))
-        return rows
-
-    chain = sym_reach_chain(R, Region1D.point(x), horizon)
-    stabilized = len(chain) >= 2 and chain[-1] == chain[-2]
-    grade = None
-    for n, region in enumerate(chain):
-        if n >= 1 and eps_dense(R.space, region, eps):
-            grade = n
-            break
-    if grade is not None:
-        rows.append(("trans3-at-eps", "certified", f"reach dense at step {grade}"))
-        rows.append(("reach-grade", str(grade), "least step with an eps-dense reach"))
-    elif stabilized:
+def _interval_rows(tag: IntervalPointTag) -> list[tuple[str, str, str]]:
+    """The (claim, status, detail) rows of an interval point's tag."""
+    if tag.legal is Certainty.REFUTED:
+        return [("legal", "refuted", f"images die out at step {tag.dies_at}"), ("verdict", "illegal", "")]
+    legal = tag.legal is Certainty.CERTIFIED
+    unsure = "" if legal else ", legality unknown"
+    rows = [("legal", tag.legal.value, "every point has a successor" if legal else "images stay non-empty")]
+    if tag.trans3 is Certainty.REFUTED:
         rows.append(("trans3-at-eps", "refuted", "reach stabilized below density"))
         rows.append(("verdict", "intransitive-at-eps" if legal else "unknown", ""))
         return rows
-    else:
-        rows.append(("trans3-at-eps", "unknown-at-horizon", "reach still growing"))
-
-    found = bounded_walk_search(R, x, eps, horizon)
-    if found.found:
-        rows.append(("trans2-at-eps", "certified", f"witness of {len(found.witness) - 1} steps"))
-    else:
-        rows.append(("trans2-at-eps", "unknown-at-horizon", f"search {found.status}"))
-    loop = nondense_loop_search(R, x, eps, horizon)
-    if loop.found:
-        rows.append(("trans1-at-eps", "refuted", "a non-dense looping walk exists"))
-    else:
-        rows.append(("trans1-at-eps", "unknown-at-horizon", f"search {loop.status}"))
+    grade = tag.reach_grade
+    reach = "reach still growing" if grade is None else f"reach dense at step {grade}{unsure}"
+    rows.append(("trans3-at-eps", tag.trans3.value, reach))
+    if tag.trans3 is Certainty.CERTIFIED:
+        rows.append(("reach-grade", str(grade), "least step with an eps-dense reach"))
+    walk, loop = tag.walk, tag.loop
+    found = f"witness of {len(walk.witness) - 1} steps{unsure}" if walk.found else f"search {walk.status}"
+    rows.append(("trans2-at-eps", tag.trans2.value, found))
+    looped = "a non-dense looping walk exists" if loop.found else f"search {loop.status}"
+    rows.append(("trans1-at-eps", tag.trans1.value, looped))
     return rows
 
 

@@ -36,6 +36,7 @@ from .region import (
     _LO,
     _merge,
     _ZERO,
+    eps_dense,
     grid_cells,
 )
 
@@ -591,7 +592,8 @@ def _orbit_dfs(
     return "exhausted", None, nodes
 
 
-def _search_frame(R: SymbolicRelation, x, eps, horizon: int, choice_step) -> _SearchFrame:
+def _checked_query(R: SymbolicRelation, x, eps, horizon: int) -> tuple[Fraction, Fraction]:
+    """(x, eps) as Fractions, once x is a point of the space, eps > 0 and horizon >= 0."""
     x = _as_fraction(x)
     eps = _as_fraction(eps)
     if not R.space.contains_point(x):
@@ -600,6 +602,11 @@ def _search_frame(R: SymbolicRelation, x, eps, horizon: int, choice_step) -> _Se
         raise ValueError("horizon must be non-negative")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    return x, eps
+
+
+def _search_frame(R: SymbolicRelation, x, eps, horizon: int, choice_step) -> _SearchFrame:
+    x, eps = _checked_query(R, x, eps, horizon)
     step = _positive_step(choice_step) if choice_step is not None else eps / 2
     return _SearchFrame(R, x, eps, step)
 
@@ -710,6 +717,65 @@ def sym_branch_cover(
     size, idx = picked
     witnesses = tuple(frame.exact(kept[i][1]) for i in idx)
     return BranchCoverResult(size, witnesses, horizon, Certainty.CERTIFIED)
+
+
+# ---------------------------------------------------------------------------
+# per-point tags
+
+
+@dataclass(frozen=True)
+class IntervalPointTag:
+    """One point's claims on an interval relation at eps, each decided at a horizon.
+
+    `dies_at` is the step at which the point's images die out.  `reach_grade`
+    is the least n >= 1 with an eps-dense n-reach, the type-3 grade when
+    trans3 is certified.  `walk` and `loop` are the type-2 and type-1
+    searches, None when the tag was settled before they ran.
+    """
+
+    legal: Certainty
+    trans3: Certainty
+    trans2: Certainty
+    trans1: Certainty
+    dies_at: int | None = None
+    reach_grade: int | None = None
+    walk: WalkSearchResult | None = None
+    loop: WalkSearchResult | None = None
+
+
+def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> IntervalPointTag:
+    """Decide x's legality and its type-3, type-2 and type-1 claims at eps.
+
+    Legal is certified when R is total, refuted with every type when x's
+    images die out within the horizon, and unknown otherwise.  A reach that
+    stabilises below density refutes all three types, since every orbit lies
+    in the reach; a non-dense loop (`nondense_loop_search`) is an infinite
+    walk, so it refutes type 1.  The two certificates, an eps-dense reach for
+    type 3 and a walk from `bounded_walk_search` for type 2, need legal
+    points, because a finite walk may end where no infinite walk goes on;
+    they stay unknown unless legality is certified.
+    """
+    x, eps = _checked_query(R, x, eps, horizon)
+    unknown, refuted = Certainty.UNKNOWN_AT_HORIZON, Certainty.REFUTED
+    legal = Certainty.CERTIFIED if is_total(R) else unknown
+    if legal is unknown:
+        images = Region1D.point(x)
+        for n in range(1, horizon + 1):
+            images = sym_image(R, images)
+            if images.is_empty():
+                return IntervalPointTag(refuted, refuted, refuted, refuted, dies_at=n)
+    chain = sym_reach_chain(R, Region1D.point(x), horizon)
+    grade = next((n for n in range(1, len(chain)) if eps_dense(R.space, chain[n], eps)), None)
+    if grade is None and len(chain) >= 2 and chain[-1] == chain[-2]:
+        return IntervalPointTag(legal, refuted, refuted, refuted)
+    walk = bounded_walk_search(R, x, eps, horizon)
+    loop = nondense_loop_search(R, x, eps, horizon)
+    # legal is certified only on a total relation, where every point is legal
+    # and every walk goes on: only there do a dense reach and walk certify
+    return IntervalPointTag(
+        legal, unknown if grade is None else legal, legal if walk.found else unknown,
+        refuted if loop.found else unknown, reach_grade=grade, walk=walk, loop=loop,
+    )
 
 
 # ---------------------------------------------------------------------------

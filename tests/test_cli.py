@@ -10,7 +10,7 @@ from crdyn import gallery
 from crdyn.cli import main
 from crdyn.io import parse_instance, serialize_instance
 from crdyn.region import format_fraction
-from crdyn.symbolic import SymbolicRelation
+from crdyn.symbolic import SymbolicRelation, classify_interval_point
 
 GOLDEN_INTERVAL_CLASSIFY = Path(__file__).resolve().parent / "golden" / "interval_classify.txt"
 
@@ -57,12 +57,34 @@ class TestClassify:
         assert "--point" in err
 
     def test_symbolic_point_report(self, docs):
+        # the claims themselves are asserted on the tag, in test_interval_tagger.py
         code, out, _ = run_cli(
             "classify", docs["ex1"], "--point", "1/2", "--eps", "1/16", "--horizon", "60"
         )
         assert code == 0
-        assert "trans2-at-eps" in out and "certified" in out
-        assert "trans1-at-eps" in out and "refuted" in out
+        tag = classify_interval_point(gallery.build("ex1").relation, F(1, 2), F(1, 16), 60)
+        steps = len(tag.walk.witness) - 1
+        assert f"trans2-at-eps          certified            witness of {steps} steps\n" in out
+        assert "trans1-at-eps          refuted              a non-dense looping walk exists\n" in out
+
+    def test_dead_end_report_withholds_certificates(self, tmp_path):
+        # 2 -> 2 and 2 -> [0, 1], where no point has a successor: the only
+        # infinite walk from 2 is the constant one, so neither the dense reach
+        # nor the dense walk 2 -> 1/2 certifies anything
+        path = tmp_path / "dead.json"
+        path.write_text(
+            '{"space": {"kind": "interval_union", "intervals": [["0","1"]], "isolated": ["2"]},'
+            ' "relation": {"kind": "primitives", "primitives": ['
+            '{"type": "point", "at": ["2","2"]}, {"type": "segment", "from": ["2","0"], "to": ["2","1"]}]}}'
+        )
+        code, out, err = run_cli("classify", str(path), "--point", "2", "--eps", "1/2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            "legal                  unknown-at-horizon   images stay non-empty",
+            "trans3-at-eps          unknown-at-horizon   reach dense at step 1, legality unknown",
+            "trans2-at-eps          unknown-at-horizon   witness of 1 steps, legality unknown",
+            "trans1-at-eps          refuted              a non-dense looping walk exists",
+        ]
 
     def test_unknown_point_is_usage_error(self, docs):
         code, _, err = run_cli("classify", docs["dens"], "--point", "zzz")
