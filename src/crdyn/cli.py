@@ -167,8 +167,13 @@ def _interval_rows(tag: IntervalPointTag) -> list[tuple[str, str, str]]:
     if tag.legal is Certainty.REFUTED:
         return [("legal", "refuted", f"images die out at step {tag.dies_at}"), ("verdict", "illegal", "")]
     legal = tag.legal is Certainty.CERTIFIED
-    unsure = "" if legal else ", legality unknown"
-    rows = [("legal", tag.legal.value, "every point has a successor" if legal else "images stay non-empty")]
+    if tag.total:
+        unsure, why = "", "every point has a successor"
+    elif legal:
+        unsure, why = ", legal set unknown", "a loop from the point is an infinite walk"
+    else:
+        unsure, why = ", legality unknown", "images stay non-empty"
+    rows = [("legal", tag.legal.value, why)]
     if tag.trans3 is Certainty.REFUTED:
         rows.append(("trans3-at-eps", "refuted", "reach stabilized below density"))
         rows.append(("verdict", "intransitive-at-eps" if legal else "unknown", ""))

@@ -1,7 +1,11 @@
 """Exact 1-D sets over the rationals.
 
 Everything here is a finite union of closed intervals (possibly degenerate)
-with Fraction endpoints.  All predicates are decided exactly; no floats.
+with exact endpoints: Fractions, or the ints n of values n/D when a search or
+chase scales its numbers by a common denominator D (see `symbolic._Frame`).
+The region set operations and the eps-net test (`_CoverFrame`) only compare,
+add and subtract, so they run on either.  All predicates are decided exactly;
+no floats.
 """
 
 from __future__ import annotations

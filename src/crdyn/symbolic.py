@@ -10,6 +10,11 @@ Each primitive computes one row (its x-range, end values and slope) when it
 is built, and each relation sorts its primitives' rows once into a private
 table, so successors, images and discretize bisect to the rows that can meet
 a point or a window instead of scanning every primitive.
+
+The walk searches and the reach chases run in a `_Frame`: on a relation
+whose slopes are all integers, every value they meet is n/D for one common
+denominator D, so they compare and add the ints n, and only their answers
+are mapped back to Fractions.  Other relations keep their Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classify import BranchCoverResult, BudgetExceededError, Certainty, _min_cover
 from .density import EpsNet
@@ -36,7 +41,6 @@ from .region import (
     _LO,
     _merge,
     _ZERO,
-    eps_dense,
     grid_cells,
 )
 
@@ -143,9 +147,10 @@ class _PrimitiveTable:
     searches and their steps come in.
 
     When every slope is an integer (`integral`), `scaled(D)` gives the same
-    table with every number multiplied by D, as ints, for any multiple D of
-    `denominator`, the least common denominator of the rows' ends; it is
-    built on first use and kept for the last D asked for.
+    table with every number multiplied by a multiple of D, as ints, for any
+    multiple D of `denominator`, the least common denominator of the rows'
+    ends.  One scaled table is held: it is reused while its scale is a
+    multiple of the D asked for, and rebuilt at D otherwise.
     """
 
     __slots__ = ("rows", "starts", "memo", "integral", "denominator", "_scaled")
@@ -158,15 +163,15 @@ class _PrimitiveTable:
         self.denominator = math.lcm(*(v.denominator for row in rows for v in row[:4]))
         self._scaled: tuple[int, _PrimitiveTable] | None = None
 
-    def scaled(self, D: int) -> "_PrimitiveTable":
-        """This table with its numbers times D, as ints."""
-        if self._scaled is None or self._scaled[0] != D:
-            table = _PrimitiveTable([
+    def scaled(self, D: int) -> tuple[int, "_PrimitiveTable"]:
+        """(S, this table with its numbers times S, as ints) for a multiple S of D."""
+        held = self._scaled
+        if held is None or held[0] % D:
+            held = self._scaled = (D, _PrimitiveTable([
                 (*(_times(v, D) for v in row[:4]), None if row[4] is None else int(row[4]))
                 for row in self.rows
-            ])
-            self._scaled = (D, table)
-        return self._scaled[1]
+            ]))
+        return held
 
     def at(self, p) -> tuple[set, list[int]]:
         """(values of the non-vertical rows at p, indices of the vertical rows at p)."""
@@ -242,6 +247,73 @@ class SymbolicRelation:
         return f"SymbolicRelation({self.space!r}, {len(self.primitives)} primitives)"
 
 
+class _Frame:
+    """The numbers one walk search or reach chase on a relation runs on.
+
+    When every slope of R is an integer, the frame runs on ints: with D a
+    common denominator of the table rows and of `values` (a search's start,
+    eps, step and space; a chase's start region or grid cells), every value
+    met is n/D for an int n, since a sloped row maps p to
+    ay + (p - ax) * slope, a column's choice grid is k * step, and unions and
+    differences of regions make no new values.  A relation with a
+    non-integer slope keeps its own Fractions, at D = 1 (`scale` None).
+    Scaling by a positive D keeps every order and comparison, so the frame
+    reaches the same states and answers as the relation, scaled.
+
+    D is the scale the table already holds when that is a multiple of the
+    one needed, so a chase does not evict the scaled table of the searches
+    and its successor memo.  The frame keeps the table in the field R keeps
+    it in, `_table`, so it stands in for R where only the table is read, as
+    in `sym_image`.  `pieces` and `region` map into the frame's numbers;
+    `exact` and `exact_region` map n back to Fraction(n, D), the second
+    through a memo, so an end shared by many regions of one chase is
+    reduced once.
+    """
+
+    __slots__ = ("scale", "_table", "_fractions")
+
+    def __init__(self, R: SymbolicRelation, values: Iterable[Fraction]):
+        table = R._table
+        if table.integral:
+            # the table's long denominator comes last, so the gcds before it stay small
+            D = math.lcm(*(v.denominator for v in values), table.denominator)
+            self.scale, self._table = table.scaled(D)
+        else:
+            self.scale, self._table = None, table  # D = 1, and the numbers stay Fractions
+        self._fractions: dict[int, Fraction] = {}
+
+    def times(self, v: Fraction):
+        """v in the frame's numbers."""
+        return v if self.scale is None else _times(v, self.scale)
+
+    def pieces(self, pieces: Sequence[tuple]) -> Sequence[tuple]:
+        """Closed pieces (lo, hi) of the relation's numbers in the frame's numbers."""
+        D = self.scale
+        return pieces if D is None else tuple((_times(lo, D), _times(hi, D)) for lo, hi in pieces)
+
+    def region(self, A: Region1D) -> Region1D:
+        """A region of the relation in the frame's numbers."""
+        return Region1D._wrap(self.pieces(A.pieces))
+
+    def _exact(self, n: int) -> Fraction:
+        got = self._fractions.get(n)
+        if got is None:
+            got = self._fractions[n] = Fraction(n, self.scale)
+        return got
+
+    def exact(self, walk: tuple) -> tuple[Fraction, ...]:
+        """The walk in the relation's own numbers."""
+        D = self.scale
+        return walk if D is None else tuple(Fraction(n, D) for n in walk)
+
+    def exact_region(self, A: Region1D) -> Region1D:
+        """The region in the relation's own numbers."""
+        if self.scale is None:
+            return A
+        f = self._exact
+        return Region1D._wrap(tuple((f(lo), f(hi)) for lo, hi in A.pieces))
+
+
 # ---------------------------------------------------------------------------
 # images and reach
 
@@ -312,19 +384,20 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
     return Region1D._wrap(_merge(cut))
 
 
-def _frontier_chase(R: SymbolicRelation, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
+def _frontier_chase(frame: _Frame, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
     """Yield (acc, frontier) after each step that grows the cumulative reach of start.
 
-    Only the frontier (closure of the newly added part) is imaged each step,
-    which is exact because images distribute over unions.  The chase ends at
-    the first image that adds nothing; each step costs one sym_image and,
-    when it grows, one region_difference_closure.  Since (acc u img) minus
-    acc is img minus acc, the new frontier comes from the image alone, so a
-    step makes O(|img| log |acc|) comparisons, not O(|acc|^2).
+    start and every region yielded are in the frame's numbers.  Only the
+    frontier (closure of the newly added part) is imaged each step, which is
+    exact because images distribute over unions.  The chase ends at the
+    first image that adds nothing; each step costs one sym_image and, when
+    it grows, one region_difference_closure.  Since (acc u img) minus acc is
+    img minus acc, the new frontier comes from the image alone, so a step
+    makes O(|img| log |acc|) comparisons, not O(|acc|^2).
     """
     acc = frontier = start
     while True:
-        img = sym_image(R, frontier)
+        img = sym_image(frame, frontier)
         if acc.contains_region(img):
             return
         frontier = region_difference_closure(img, acc)
@@ -338,25 +411,31 @@ def sym_reach(
     """Cumulative reach start u G(start) u ...; stabilized reports exactness."""
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    acc = frontier = start
+    frame = _Frame(R, itertools.chain(*start.pieces))
+    acc = frontier = frame.region(start)
     steps = 0
-    for steps, (acc, frontier) in enumerate(itertools.islice(_frontier_chase(R, start), max_iter), 1):
+    for steps, (acc, frontier) in enumerate(itertools.islice(_frontier_chase(frame, acc), max_iter), 1):
         pass
-    if steps < max_iter:
-        return acc, True
-    # one more image to detect stabilization exactly at the boundary
-    return acc, acc.contains_region(sym_image(R, frontier))
+    # past max_iter, one more image detects stabilization exactly at the boundary
+    stabilized = steps < max_iter or acc.contains_region(sym_image(frame, frontier))
+    return frame.exact_region(acc), stabilized
+
+
+def _reach_chain(frame: _Frame, start: Region1D, max_iter: int) -> list[Region1D]:
+    """Cumulative regions [R_0, R_1, ...] in the frame's numbers, up to max_iter or stabilization."""
+    chain = [start]
+    chain += (acc for acc, _ in itertools.islice(_frontier_chase(frame, start), max_iter))
+    if len(chain) <= max_iter:
+        chain.append(chain[-1])  # the step that adds nothing
+    return chain
 
 
 def sym_reach_chain(R: SymbolicRelation, start: Region1D, max_iter: int) -> list[Region1D]:
     """Cumulative regions [R_0, R_1, ...] up to max_iter or stabilization."""
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    chain = [start]
-    chain += (acc for acc, _ in itertools.islice(_frontier_chase(R, start), max_iter))
-    if len(chain) <= max_iter:
-        chain.append(chain[-1])  # the step that adds nothing
-    return chain
+    frame = _Frame(R, itertools.chain(*start.pieces))
+    return [frame.exact_region(acc) for acc in _reach_chain(frame, frame.region(start), max_iter)]
 
 
 def is_total(R: SymbolicRelation) -> bool:
@@ -481,46 +560,22 @@ class WalkSearchResult:
         return Certainty.CERTIFIED if self.found else Certainty.UNKNOWN_AT_HORIZON
 
 
-class _SearchFrame:
-    """The numbers one walk search runs on.
+class _SearchFrame(_Frame):
+    """A walk search's frame, with its start `x`, choice `step` and eps-net test `cover`.
 
-    When every slope of R is an integer, the search runs on ints: with D the
-    least common denominator of the table rows, the space's component ends,
-    x, eps and the choice step, every value the search meets is n/D for an
-    int n, since a sloped row maps p to ay + (p - ax) * slope and a column's
-    choice grid is k * step.  The frame holds the table, x, the step and the
-    eps-net test (`cover`) times D, and `exact` maps n back to Fraction(n, D).
-    A relation with a non-integer slope runs the same search on its own
-    Fractions, at D = 1 (`scale` None).  Scaling by a positive D keeps every
-    order and comparison the search makes, so it visits the same states and
-    finds the same witness either way.  Successors come from the memo of the
-    table the search reads (`_PrimitiveTable.choices`).
+    D covers x, eps, the step and the space's component ends as well as the
+    table rows, so all four are in the frame's numbers, and so is a column's
+    choice grid k * step.  Successors come from the memo of the table the
+    search reads (`_PrimitiveTable.choices`).
     """
 
-    __slots__ = ("scale", "table", "x", "step", "cover")
+    __slots__ = ("x", "step", "cover")
 
     def __init__(self, R: SymbolicRelation, x: Fraction, eps: Fraction, step: Fraction):
-        table = R._table
         comps = R.space._components
-        if table.integral:
-            D = math.lcm(
-                table.denominator, x.denominator, eps.denominator, step.denominator,
-                *(v.denominator for piece in comps for v in piece),
-            )
-            table = table.scaled(D)
-            x, eps, step = _times(x, D), _times(eps, D), _times(step, D)
-            comps = [(_times(lo, D), _times(hi, D)) for lo, hi in comps]
-            self.scale = D
-        else:
-            self.scale = None  # D = 1, and the numbers stay Fractions
-        self.table = table
-        self.x, self.step = x, step
-        self.cover = _CoverFrame(comps, eps)
-
-    def exact(self, walk: tuple) -> tuple[Fraction, ...]:
-        """The walk in the relation's own numbers."""
-        D = self.scale
-        return walk if D is None else tuple(Fraction(n, D) for n in walk)
+        super().__init__(R, itertools.chain((x, eps, step), *comps))
+        self.x, self.step = self.times(x), self.times(step)
+        self.cover = _CoverFrame(self.pieces(comps), self.times(eps))
 
 
 _PRUNE = object()  # a visit verdict: drop this state and keep searching
@@ -563,7 +618,7 @@ def _orbit_dfs(
         best[key] = used
         return False
 
-    choices, step = frame.table.choices, frame.step
+    choices, step = frame._table.choices, frame.step
     nodes = 0
     stack = [((), frozenset(), OrbitCover._over(frame.cover), frame.x)]
     push = stack.append
@@ -683,6 +738,8 @@ def sym_branch_cover(
     Maximal walks (horizon steps or stuck) are enumerated over the sampled
     choice family; the minimum is exact over that family, hence a certified
     upper bound for the relation and exact at this horizon and resolution.
+    The budget bounds both the nodes of the walk search and the density
+    tests of the cover selection after it.
     """
     frame = _search_frame(R, x, eps, horizon, choice_step)
     # every visited state contributes its orbit; a revisit with fewer steps
@@ -711,7 +768,14 @@ def sym_branch_cover(
     if len(kept) > max_candidates:
         raise BudgetExceededError("too many candidate walks for branch cover search")
     kept.sort(key=lambda item: item[1])
-    picked = _min_cover(kept, lambda orbit: OrbitCover._over(frame.cover, orbit).dense())
+    tests = itertools.count(1)
+
+    def dense(orbit: frozenset) -> bool:
+        if next(tests) > budget:
+            raise BudgetExceededError("cover selection too large for branch cover search")
+        return OrbitCover._over(frame.cover, orbit).dense()
+
+    picked = _min_cover(kept, dense)
     if picked is None:
         return BranchCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
     size, idx = picked
@@ -730,7 +794,8 @@ class IntervalPointTag:
     `dies_at` is the step at which the point's images die out.  `reach_grade`
     is the least n >= 1 with an eps-dense n-reach, the type-3 grade when
     trans3 is certified.  `walk` and `loop` are the type-2 and type-1
-    searches, None when the tag was settled before they ran.
+    searches, None when the tag was settled before they ran.  `total` says
+    whether the relation is total, so that every point is legal.
     """
 
     legal: Certainty
@@ -741,40 +806,50 @@ class IntervalPointTag:
     reach_grade: int | None = None
     walk: WalkSearchResult | None = None
     loop: WalkSearchResult | None = None
+    total: bool = False
 
 
 def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> IntervalPointTag:
     """Decide x's legality and its type-3, type-2 and type-1 claims at eps.
 
-    Legal is certified when R is total, refuted with every type when x's
-    images die out within the horizon, and unknown otherwise.  A reach that
-    stabilises below density refutes all three types, since every orbit lies
-    in the reach; a non-dense loop (`nondense_loop_search`) is an infinite
-    walk, so it refutes type 1.  The two certificates, an eps-dense reach for
-    type 3 and a walk from `bounded_walk_search` for type 2, need legal
-    points, because a finite walk may end where no infinite walk goes on;
-    they stay unknown unless legality is certified.
+    Legal is certified when R is total or a non-dense loop from x is found,
+    refuted with every type when x's images die out within the horizon, and
+    unknown otherwise.  A reach that stabilises below density refutes all
+    three types, since every orbit lies in the reach; a non-dense loop
+    (`nondense_loop_search`) is an infinite walk, so it refutes type 1 and
+    proves x legal.  The two certificates, an eps-dense reach for type 3 and
+    a walk from `bounded_walk_search` for type 2, need every point they pass
+    through legal, because a finite walk may end where no infinite walk goes
+    on; they stay unknown unless R is total.
+
+    The images, the reach chain and its density tests run in the frame of
+    the walk searches, so on an integer-slope relation they share its scaled
+    table with the searches that follow.
     """
-    x, eps = _checked_query(R, x, eps, horizon)
-    unknown, refuted = Certainty.UNKNOWN_AT_HORIZON, Certainty.REFUTED
-    legal = Certainty.CERTIFIED if is_total(R) else unknown
-    if legal is unknown:
-        images = Region1D.point(x)
+    frame = _search_frame(R, x, eps, horizon, None)
+    unknown, refuted, certified = Certainty.UNKNOWN_AT_HORIZON, Certainty.REFUTED, Certainty.CERTIFIED
+    start = Region1D._wrap(((frame.x, frame.x),))
+    total = is_total(R)
+    if not total:
+        images = start
         for n in range(1, horizon + 1):
-            images = sym_image(R, images)
+            images = sym_image(frame, images)
             if images.is_empty():
                 return IntervalPointTag(refuted, refuted, refuted, refuted, dies_at=n)
-    chain = sym_reach_chain(R, Region1D.point(x), horizon)
-    grade = next((n for n in range(1, len(chain)) if eps_dense(R.space, chain[n], eps)), None)
+    legal = certified if total else unknown
+    chain = _reach_chain(frame, start, horizon)
+    covers = frame.cover.covers
+    grade = next((n for n in range(1, len(chain)) if covers(chain[n].pieces)), None)
     if grade is None and len(chain) >= 2 and chain[-1] == chain[-2]:
-        return IntervalPointTag(legal, refuted, refuted, refuted)
+        return IntervalPointTag(legal, refuted, refuted, refuted, total=total)
     walk = bounded_walk_search(R, x, eps, horizon)
     loop = nondense_loop_search(R, x, eps, horizon)
-    # legal is certified only on a total relation, where every point is legal
-    # and every walk goes on: only there do a dense reach and walk certify
+    # only on a total relation is every point legal and does every walk go
+    # on: only there do a dense reach and a dense walk certify
     return IntervalPointTag(
-        legal, unknown if grade is None else legal, legal if walk.found else unknown,
-        refuted if loop.found else unknown, reach_grade=grade, walk=walk, loop=loop,
+        certified if loop.found else legal, unknown if grade is None else legal,
+        legal if walk.found else unknown, refuted if loop.found else unknown,
+        reach_grade=grade, walk=walk, loop=loop, total=total,
     )
 
 
@@ -825,25 +900,29 @@ def grid_transitivity_check(
     U is chased as a closed cell (its image chain is computed exactly); V is
     met when the chain intersects the open cell interior, or contains the
     point for degenerate cells.  positive_only starts the chase at n = 1, so
-    at horizon 0 it meets no cell.  The cost grows with the square of the cell
-    count, so more than `_BOX_CAP` cells raise BudgetExceededError.
+    at horizon 0 it meets no cell.  The cells are scaled into one frame for
+    every chase, and the report gives them back as they were built.  The cost
+    grows with the square of the cell count, so more than `_BOX_CAP` cells
+    raise BudgetExceededError.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     cells = _capped_cells(R.space, _as_fraction(delta), _BOX_CAP)
+    frame = _Frame(R, itertools.chain(*cells))
+    scaled = frame.pieces(cells)
     misses: list[tuple[int, int]] = []
     max_steps = 0
-    for ui, (ulo, uhi) in enumerate(cells):
-        start = Region1D.interval(ulo, uhi)
+    for ui, cell in enumerate(scaled):
+        start = Region1D._wrap((cell,))
         steps = 0
         if positive_only:
-            start, steps = (sym_image(R, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
-        pending = _unmet(cells, list(range(len(cells))), start)
+            start, steps = (sym_image(frame, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
+        pending = _unmet(scaled, list(range(len(scaled))), start)
         if pending:
             # a chase that stops early has stabilized: no new cell can be met
-            chase = itertools.islice(_frontier_chase(R, start), horizon - steps)
+            chase = itertools.islice(_frontier_chase(frame, start), horizon - steps)
             for steps, (_, frontier) in enumerate(chase, steps + 1):
-                pending = _unmet(cells, pending, frontier)
+                pending = _unmet(scaled, pending, frontier)
                 if not pending:
                     break
         misses.extend((ui, vi) for vi in pending)
@@ -862,11 +941,12 @@ def forward_union(
     """Union of G^k(U): k from 0 (include_start) or 1, up to the horizon."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    acc = U
+    if not include_start and horizon < 1:
+        return Region1D.empty()  # no k in 1..horizon
+    frame = _Frame(R, itertools.chain(*U.pieces))
+    acc = frame.region(U)
     if not include_start:
-        if horizon < 1:
-            return Region1D.empty()  # no k in 1..horizon
-        acc, horizon = sym_image(R, U), horizon - 1
-    for acc, _ in itertools.islice(_frontier_chase(R, acc), horizon):
+        acc, horizon = sym_image(frame, acc), horizon - 1
+    for acc, _ in itertools.islice(_frontier_chase(frame, acc), horizon):
         pass
-    return acc
+    return frame.exact_region(acc)

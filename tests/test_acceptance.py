@@ -263,7 +263,7 @@ def test_criterion_08_exhura_certificate_and_search():
             failures.append(f"unexpected dense walk from {F(k, 32)}")
         elif res.certainty is not Certainty.UNKNOWN_AT_HORIZON:
             failures.append("non-find must be reported unknown-at-horizon")
-    _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 10.0, failures)
+    _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 2.0, failures)
 
 
 def test_criterion_09_exxi_statement_separation():
@@ -287,7 +287,7 @@ def test_criterion_09_exxi_statement_separation():
         union0 = forward_union(R, cell, 64, include_start=True)
         if not eps_dense(space, union0, delta):
             failures.append(f"zero-step union from [{lo},{hi}] not dense")
-    _report(9, "zero-step unions dense everywhere; positive union fails at {2}", t0, 10.0, failures)
+    _report(9, "zero-step unions dense everywhere; positive union fails at {2}", t0, 2.0, failures)
 
 
 def test_criterion_10_tree_module():

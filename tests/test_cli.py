@@ -69,8 +69,8 @@ class TestClassify:
 
     def test_dead_end_report_withholds_certificates(self, tmp_path):
         # 2 -> 2 and 2 -> [0, 1], where no point has a successor: the only
-        # infinite walk from 2 is the constant one, so neither the dense reach
-        # nor the dense walk 2 -> 1/2 certifies anything
+        # infinite walk from 2 is the constant one, which proves 2 legal, but
+        # neither the dense reach nor the dense walk 2 -> 1/2 certifies anything
         path = tmp_path / "dead.json"
         path.write_text(
             '{"space": {"kind": "interval_union", "intervals": [["0","1"]], "isolated": ["2"]},'
@@ -80,9 +80,9 @@ class TestClassify:
         code, out, err = run_cli("classify", str(path), "--point", "2", "--eps", "1/2")
         assert (code, err) == (0, "")
         assert out.splitlines()[2:] == [
-            "legal                  unknown-at-horizon   images stay non-empty",
-            "trans3-at-eps          unknown-at-horizon   reach dense at step 1, legality unknown",
-            "trans2-at-eps          unknown-at-horizon   witness of 1 steps, legality unknown",
+            "legal                  certified            a loop from the point is an infinite walk",
+            "trans3-at-eps          unknown-at-horizon   reach dense at step 1, legal set unknown",
+            "trans2-at-eps          unknown-at-horizon   witness of 1 steps, legal set unknown",
             "trans1-at-eps          refuted              a non-dense looping walk exists",
         ]
 

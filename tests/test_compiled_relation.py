@@ -5,10 +5,12 @@ x-range start.  The references below are the code from before that: a
 sym_image that asks every primitive about every piece and builds its result
 through the public Region1D constructor, point successors that ask every
 primitive about the window [p, p], choice grids rebuilt on every call, the
-grid check's per-cell mark over the whole frontier, and preimages through a
-freshly built mirrored relation.  The compiled code must give the same
-answers on every gallery interval relation and on seeded random relations
-that mix every primitive kind, with pieces that touch and degenerate pieces.
+grid check's per-cell mark over the whole frontier, chased on Fractions with
+that sym_image and a piece-by-piece closure difference, and preimages
+through a freshly built mirrored relation.  The compiled code must give the
+same answers on every gallery interval relation and on seeded random
+relations that mix every primitive kind, with pieces that touch and
+degenerate pieces.
 """
 
 import itertools
@@ -24,7 +26,6 @@ from crdyn.symbolic import (
     Segment,
     SinglePoint,
     SymbolicRelation,
-    _frontier_chase,
     _range_choices,
     _unmet,
     grid_transitivity_check,
@@ -87,6 +88,37 @@ def ref_mark(cells, pending, region):
     pending.difference_update(done)
 
 
+def ref_difference_closure(a, b):
+    """Closure of a minus b: every piece of a cut by every piece of b in turn."""
+    out = []
+    for lo, hi in a.pieces:
+        parts = [(lo, hi)]
+        for blo, bhi in b.pieces:
+            cut = []
+            for plo, phi in parts:
+                if bhi < plo or blo > phi:
+                    cut.append((plo, phi))
+                    continue
+                if plo < blo:
+                    cut.append((plo, blo))
+                if bhi < phi:
+                    cut.append((bhi, phi))
+            parts = cut
+        out += parts
+    return Region1D(out)
+
+
+def ref_frontier_chase(R, start):
+    """The Fraction chase: the new part of each image, closed, until an image adds nothing."""
+    acc = frontier = start
+    while True:
+        frontier = ref_difference_closure(ref_sym_image(R, frontier), acc)
+        if frontier.is_empty():
+            return
+        acc = Region1D(acc.pieces + frontier.pieces)
+        yield acc, frontier
+
+
 def ref_grid_transitivity_check(R, delta, horizon, positive_only=False):
     cells = grid_cells(R.space, delta)
     misses, max_steps = [], 0
@@ -95,10 +127,10 @@ def ref_grid_transitivity_check(R, delta, horizon, positive_only=False):
         start = Region1D.interval(ulo, uhi)
         steps = 0
         if positive_only:
-            start, steps = (sym_image(R, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
+            start, steps = (ref_sym_image(R, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
         ref_mark(cells, pending, start)
         if pending:
-            chase = itertools.islice(_frontier_chase(R, start), max(horizon - steps, 0))
+            chase = itertools.islice(ref_frontier_chase(R, start), max(horizon - steps, 0))
             for steps, (_, frontier) in enumerate(chase, steps + 1):
                 ref_mark(cells, pending, frontier)
                 if not pending:

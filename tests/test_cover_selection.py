@@ -10,6 +10,7 @@ sizes, witnesses and certainties, and the same booleans and sets.
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -152,6 +153,15 @@ class TestSymbolicCover:
     def test_equals_the_combination_loop(self, name, R, x, eps, horizon, kw):
         got = as_tuple(sym_branch_cover(R, x, eps, horizon, **kw))
         assert got == ref_sym_branch_cover(R, x, eps, horizon, **kw)
+
+    def test_the_budget_bounds_the_cover_selection(self):
+        # on ex4 the walks from 1/3 leave a family whose selection scans about
+        # a million combinations; the budget stops it after 2000 density tests
+        R = gallery.build("ex4").relation
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="^cover selection too large"):
+            sym_branch_cover(R, F(1, 3), F(1, 16), 4, F(1, 8), budget=2000)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_random_families_under_monotone_predicates(self):
         rng = random.Random(9)

@@ -271,7 +271,7 @@ def test_ex4_runs_on_fractions_at_scale_one():
     R = gallery.build("ex4").relation
     assert not R._table.integral
     frame = _search_frame(R, F(1, 2), F(1, 16), 10, None)
-    assert frame.scale is None and frame.table is R._table
+    assert frame.scale is None and frame._table is R._table
     for x in (F(0), F(1, 3), F(1, 2)):
         for eps, step in ((F(1, 16), None), (F(1, 5), F(1, 7))):
             assert_same(R, x, eps, 50, step)
@@ -284,22 +284,23 @@ def test_integer_slope_relations_run_on_ints():
     frame = _search_frame(tent, F(1, 3), F(1, 32), 10, F(1, 10))
     assert frame.scale == 480  # the lcm of 2 (the rows), 3, 32 and 10
     assert (frame.x, frame.step, frame.cover.eps) == (160, 48, 15)
-    assert frame.table.rows == [(0, 240, 0, 480, 2), (240, 480, 480, 0, -2)]
-    # the scaled rows are kept for the last scale asked for
-    assert tent._table.scaled(480) is frame.table
-    assert tent._table.scaled(96) is not frame.table
-    assert tent._table.scaled(96) is tent._table.scaled(96)
+    assert frame._table.rows == [(0, 240, 0, 480, 2), (240, 480, 480, 0, -2)]
+    # the held scale serves every divisor of it, and a new scale replaces it
+    assert tent._table.scaled(480) == (480, frame._table)
+    assert tent._table.scaled(96) == (480, frame._table)
+    assert tent._table.scaled(7)[1] is not frame._table
+    assert tent._table.scaled(7) == (7, tent._table.scaled(7)[1])
     # the surrogate points of exhura give a long common denominator, still exact
     R = gallery.build("exhura").relation
     frame = _search_frame(R, F(1, 3), F(1, 32), 10, None)
     assert frame.scale % R._table.denominator == 0 and frame.scale % 192 == 0
-    assert all(type(v) is int for row in frame.table.rows for v in row[:4])
+    assert all(type(v) is int for row in frame._table.rows for v in row[:4])
 
 
 def test_successor_lists_are_computed_once_and_never_changed():
     R = gallery.build("ex1").relation
     frame = _search_frame(R, F(1, 2), F(1, 8), 6, None)
-    table = frame.table
+    table = frame._table
     first = table.choices(frame.x, frame.step)
     assert table.choices(frame.x, frame.step) is first
     assert first == [v * frame.scale for v in successor_choices(R, F(1, 2), F(1, 16))]

@@ -20,9 +20,10 @@ import crdyn.symbolic as symbolic
 from crdyn import gallery
 from crdyn.classify import Certainty
 from crdyn.io import parse_instance
-from crdyn.region import Region1D, eps_dense
+from crdyn.region import Region1D, Space1D, eps_dense
 from crdyn.symbolic import (
     IntervalPointTag,
+    Segment,
     SymbolicRelation,
     bounded_walk_search,
     classify_interval_point,
@@ -194,7 +195,8 @@ def test_non_total_rows_without_a_certificate_match_the_reference():
 def test_dead_end_withholds_the_type3_and_type2_certificates():
     R = parse_instance(DEAD)
     tag = classify_interval_point(R, 2, F(1, 2), 200)
-    assert tag.legal is Certainty.UNKNOWN_AT_HORIZON
+    # the loop 2 -> 2 is an infinite walk from 2, so 2 is legal
+    assert tag.legal is Certainty.CERTIFIED and not tag.total
     # the reach {2} u [0, 1] is dense at step 1, but 2's only infinite walk stays at 2
     assert tag.reach_grade == 1
     assert tag.trans3 is Certainty.UNKNOWN_AT_HORIZON
@@ -207,6 +209,15 @@ def test_dead_end_withholds_the_type3_and_type2_certificates():
     # the reference certified both
     old = {claim: status for claim, status, _ in _symbolic_point_rows(R, F(2), F(1, 2), 200)}
     assert old["trans3-at-eps"] == old["trans2-at-eps"] == "certified"
+
+
+def test_legality_stays_unknown_without_a_loop():
+    # x -> x/2 on [0, 1], and the isolated point 2 has no successor: the
+    # walk from 1 halves forever, so it never dies and never loops
+    R = SymbolicRelation(Space1D(intervals=[(0, 1)], isolated=[2]), [Segment(0, 0, 1, F(1, 2))])
+    tag = classify_interval_point(R, 1, F(1, 2), 12)
+    assert not tag.total and tag.loop.status == "exhausted"
+    assert (tag.legal, tag.trans3, tag.trans2, tag.trans1) == (Certainty.UNKNOWN_AT_HORIZON,) * 4
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,13 @@ class TestRows:
                  Segment(F(3, 4), 0, F(3, 4), 1)]
         table = SymbolicRelation(Space1D(intervals=[(0, 1)]), prims)._table
         assert table.integral and table.denominator == 4
-        scaled = table.scaled(8)
+        D, scaled = table.scaled(8)
+        assert D == 8
         assert scaled.rows == [
             (0, 4, 0, 8, 2), (2, 2, 6, 6, 0), (4, 8, 8, 0, -2), (6, 6, 0, 8, None),
         ]
         assert scaled.integral and scaled.denominator == 1
-        assert table.scaled(8) is scaled
+        assert table.scaled(8)[1] is scaled
 
     def test_dataclass_surface_is_the_coordinates(self):
         p, q = SinglePoint(F(1, 2), 0), SinglePoint(F(1, 2), F(0))

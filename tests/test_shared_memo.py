@@ -6,23 +6,28 @@ of the relation, whose memo starts empty.  The searches interleave two choice
 steps as a, b, a at one eps, so on integer-slope relations both steps run on
 the same scaled table and only the memo's step key tells their column grids
 apart; the starts change the frame's denominator, which rebuilds the scaled
-table.  Status, witness and node count must not depend on what the memo
-already held.
+table unless the scale it holds is a multiple of the new one.  Status,
+witness and node count must not depend on what the memo already held.  The
+reach chases run at the scale the table holds, so they keep the searches'
+scaled table and its memo.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from crdyn import gallery
+from crdyn import gallery, symbolic
 from crdyn.classify import BudgetExceededError
 from crdyn.io import parse_instance
+from crdyn.region import Region1D
 from crdyn.symbolic import (
     SymbolicRelation,
     bounded_walk_search,
+    classify_interval_point,
     nondense_loop_search,
     successor_choices,
     sym_branch_cover,
+    sym_reach_chain,
 )
 
 INTERVAL_NAMES = [
@@ -89,3 +94,42 @@ def test_a_new_step_keeps_the_lists_of_the_others():
     table.choices(F(1, 2), b)
     assert table.choices(F(1, 2), a) is first
     assert set(table.memo) == {a, b}
+
+
+def count_table_builds(monkeypatch) -> list:
+    """The sizes of the tables built from here on, one entry per build."""
+    builds = []
+
+    class Counted(symbolic._PrimitiveTable):
+        __slots__ = ()
+
+        def __init__(self, rows):
+            builds.append(len(rows))
+            super().__init__(rows)
+
+    monkeypatch.setattr(symbolic, "_PrimitiveTable", Counted)
+    return builds
+
+
+def test_classifying_points_builds_the_scaled_table_once(monkeypatch):
+    # ex1's rows need D = 2 and the searches at eps 1/16 need D = 32: every
+    # chase runs at the scale the table already holds
+    R = fresh("ex1")
+    builds = count_table_builds(monkeypatch)
+    for x in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1, 16)):
+        classify_interval_point(R, x, EPS, 30)
+    assert builds == [2]
+    D, table = R._table.scaled(1)  # the held table: every scale is a multiple of 1
+    assert D == 32 and table.memo
+
+
+def test_a_chase_between_searches_keeps_their_memo(monkeypatch):
+    R = fresh("exxi")
+    first = bounded_walk_search(R, F(1, 3), EPS, 40)
+    D, table = R._table.scaled(1)
+    builds = count_table_builds(monkeypatch)
+    for x in (F(1, 3), F(1, 2), F(2)):
+        sym_reach_chain(R, Region1D.point(x), 20)
+    assert R._table.scaled(1) == (D, table) and builds == []
+    assert bounded_walk_search(R, F(1, 3), EPS, 40) == first
+    assert builds == []
