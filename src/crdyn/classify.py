@@ -614,10 +614,8 @@ def _touring_walk(G: FiniteRelation, x: int, comp_path: list[int], cond: Condens
         allowed = cond.members[comp]
         pending = set(allowed) - set(walk)
         while pending:
-            seg = _bfs_path(G, walk[-1], frozenset(pending), allowed)
-            if seg is None:
-                break  # single-member component without a loop: nothing to tour
-            seg = seg[1:]
+            # walk[-1] is a member, and the members of a component reach each other
+            seg = _bfs_path(G, walk[-1], frozenset(pending), allowed)[1:]
             if len(seg) > steps_left():
                 truncated = True
                 seg = seg[: steps_left()]
@@ -702,8 +700,6 @@ def _greedy_cover(
         covered.update(walk)
         walks.append(tuple(walk))
         if not progressed and not dense.dense(frozenset(covered)):
-            return None
-        if len(walks) > G.space.size:
             return None
     return len(walks), walks
 

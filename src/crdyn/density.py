@@ -10,7 +10,7 @@ enlarging the subset never turns a dense verdict false.  Two kinds exist:
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .region import Piece, Region1D, Space1D, _CoverFrame, _as_fraction, _merge
 
@@ -67,9 +67,6 @@ class EpsNet:
 
     def with_eps(self, eps) -> "EpsNet":
         return EpsNet(self.space, self.extents, eps)
-
-    def covered_region(self, points: Iterable[int]) -> Region1D:
-        return Region1D(self.extents[i] for i in points)
 
     def dense(self, points: frozenset[int]) -> bool:
         values = self._values

@@ -1,8 +1,8 @@
 """Exact 1-D sets over the rationals.
 
 Everything here is a finite union of closed intervals (possibly degenerate)
-with exact endpoints: Fractions, or the ints n of values n/D when a search or
-chase scales its numbers by a common denominator D (see `symbolic._Frame`).
+with exact endpoints: Fractions, or the ints n of values n/S when a search or
+chase runs on the ints of a scale S (see `symbolic._Frame`).
 The region set operations and the eps-net test (`_CoverFrame`) only compare,
 add and subtract, so they run on either.  All predicates are decided exactly;
 no floats.
@@ -160,17 +160,6 @@ class Region1D:
                 return False
         return True
 
-    def intersects_open_interval(self, lo, hi) -> bool:
-        """True when the region meets the OPEN interval (lo, hi)."""
-        lo = _as_fraction(lo)
-        hi = _as_fraction(hi)
-        if lo >= hi:
-            return False
-        return any(phi > lo and plo < hi for plo, phi in self.pieces)
-
-    def isolated_points(self) -> tuple[Fraction, ...]:
-        return tuple(lo for lo, hi in self.pieces if lo == hi)
-
     def distance_to(self, x) -> Fraction | None:
         """Exact distance from the number x to the region; None when empty."""
         x = _as_fraction(x)
@@ -269,7 +258,7 @@ class _CoverFrame:
 
     The frame is built from the space's sorted components and a positive eps,
     all exact: Fractions, or the ints of a search that scales its numbers by
-    a common denominator.  The gap test never divides, so it works on both.
+    a common multiple S.  The gap test never divides, so it works on both.
     """
 
     __slots__ = ("eps", "width", "lows2", "highs2", "ends")

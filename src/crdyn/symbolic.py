@@ -11,10 +11,10 @@ is built, and each relation sorts its primitives' rows once into a private
 table, so successors, images and discretize bisect to the rows that can meet
 a point or a window instead of scanning every primitive.
 
-The walk searches and the reach chases run in a `_Frame`: on a relation
-whose slopes are all integers, every value they meet is n/D for one common
-denominator D, so they compare and add the ints n, and only their answers
-are mapped back to Fractions.  Other relations keep their Fractions.
+The walk searches and the reach chases run in a `_Frame`: every value they
+meet within their horizon is n/S for one scale S = D * q**horizon (see
+there), so they compare, add and exactly divide the ints n, and only their
+answers are mapped back to Fractions.
 """
 
 from __future__ import annotations
@@ -139,53 +139,53 @@ Primitive = Segment | SinglePoint
 
 
 class _PrimitiveTable:
-    """The rows of one relation's primitives (see `_window_image`), sorted by x-range start.
+    """The rows of one relation's primitives, sorted stably by x-range start.
 
-    The sort is stable, so rows that start at the same x keep their primitive
-    order.  Each point's successor list is memoised per step for the life of
-    the table, so every search on the table shares it, whatever order the
-    searches and their steps come in.
-
-    When every slope is an integer (`integral`), `scaled(D)` gives the same
-    table with every number multiplied by a multiple of D, as ints, for any
-    multiple D of `denominator`, the least common denominator of the rows'
-    ends.  One scaled table is held: it is reused while its scale is a
-    multiple of the D asked for, and rebuilt at D otherwise.
+    A relation's own table holds its primitives' rows in Fractions (see
+    `_window_image`), with `denominator` and `q` the least common
+    denominators of their ends and of their slopes.  `scaled(S)` gives the
+    table a `_Frame` runs on, which alone answers `at` and `choices`: each
+    row times S, as ints (ax, bx, ay, by, num, den), the slope num/den in
+    lowest terms (num None for a column).  The one scaled table held is
+    reused while its scale is a multiple of the S asked for.  Each point's
+    successor list is memoised per step for the life of the table, so every
+    search on the table shares it, whatever order the searches come in.
     """
 
-    __slots__ = ("rows", "starts", "memo", "integral", "denominator", "_scaled")
+    __slots__ = ("rows", "starts", "memo", "denominator", "q", "_scaled")
 
     def __init__(self, rows: Sequence[tuple]):
         self.rows = rows = sorted(rows, key=_LO)
         self.starts = [row[0] for row in rows]
         self.memo: dict[object, dict] = {}  # step -> {point: sorted successors}
-        self.integral = all(row[4] is None or row[4].denominator == 1 for row in rows)
         self.denominator = math.lcm(*(v.denominator for row in rows for v in row[:4]))
+        self.q = math.lcm(*(row[4].denominator for row in rows if row[4] is not None))
         self._scaled: tuple[int, _PrimitiveTable] | None = None
 
-    def scaled(self, D: int) -> tuple[int, "_PrimitiveTable"]:
-        """(S, this table with its numbers times S, as ints) for a multiple S of D."""
+    def scaled(self, S: int) -> tuple[int, "_PrimitiveTable"]:
+        """(S', this table's rows times S', as ints) for a multiple S' of S."""
         held = self._scaled
-        if held is None or held[0] % D:
-            held = self._scaled = (D, _PrimitiveTable([
-                (*(_times(v, D) for v in row[:4]), None if row[4] is None else int(row[4]))
+        if held is None or held[0] % S:
+            held = self._scaled = (S, _PrimitiveTable([
+                (*(_times(v, S) for v in row[:4]),
+                 *((None, 1) if row[4] is None else (row[4].numerator, row[4].denominator)))
                 for row in self.rows
             ]))
         return held
 
     def at(self, p) -> tuple[set, list[int]]:
-        """(values of the non-vertical rows at p, indices of the vertical rows at p)."""
+        """(values of the non-vertical rows at p, indices of the vertical rows at p), exact in a frame."""
         values = set()
         columns: list[int] = []
         rows = self.rows
         for i in range(bisect.bisect_right(self.starts, p)):
-            ax, bx, ay, _, slope = rows[i]
+            ax, bx, ay, _, num, den = rows[i]
             if bx < p:
                 continue
-            if slope is None:
+            if num is None:
                 columns.append(i)
             else:
-                values.add(ay + (p - ax) * slope if slope else ay)
+                values.add(ay + (p - ax) * num // den if num else ay)
         return values, columns
 
     def choices(self, p, step) -> list:
@@ -248,52 +248,39 @@ class SymbolicRelation:
 
 
 class _Frame:
-    """The numbers one walk search or reach chase on a relation runs on.
+    """The ints one walk search or reach chase on a relation runs on, to a depth.
 
-    When every slope of R is an integer, the frame runs on ints: with D a
-    common denominator of the table rows and of `values` (a search's start,
-    eps, step and space; a chase's start region or grid cells), every value
-    met is n/D for an int n, since a sloped row maps p to
-    ay + (p - ax) * slope, a column's choice grid is k * step, and unions and
-    differences of regions make no new values.  A relation with a
-    non-integer slope keeps its own Fractions, at D = 1 (`scale` None).
-    Scaling by a positive D keeps every order and comparison, so the frame
-    reaches the same states and answers as the relation, scaled.
-
-    D is the scale the table already holds when that is a multiple of the
-    one needed, so a chase does not evict the scaled table of the searches
-    and its successor memo.  The frame keeps the table in the field R keeps
-    it in, `_table`, so it stands in for R where only the table is read, as
-    in `sym_image`.  `pieces` and `region` map into the frame's numbers;
-    `exact` and `exact_region` map n back to Fraction(n, D), the second
-    through a memo, so an end shared by many regions of one chase is
-    reduced once.
+    Let D be a common denominator of the table rows and of `values` (a
+    search's start, eps, step and space; a chase's start region or grid
+    cells), and q that of the slopes (`_PrimitiveTable.q`).  A sloped row
+    multiplies a denominator by at most q; a column's grid k * step, a row
+    end and region unions and differences make none.  So every value met
+    within `depth` steps is n/S for an int n, S = D * q**depth, and at a
+    depth k < depth, p - ax is a multiple of q**(depth - k) in the frame's
+    ints: the row formula ay + (p - ax) * num // den divides exactly.  A
+    search's depth is its horizon, a chase's the number of images it takes;
+    with q = 1, S = D.  Scaling by S > 0 keeps every order, so the frame
+    reaches the relation's states and answers, scaled.  S is the held scale
+    when that is a multiple of the one needed, so a chase keeps the scaled
+    table and successor memo of the searches.  The frame keeps the table in
+    R's field `_table`, standing in for R where only the table is read, as
+    in `sym_image`.  Ints map back to Fraction(n, S) through a memo, so an
+    end shared by many regions of one chase is reduced once.
     """
 
     __slots__ = ("scale", "_table", "_fractions")
 
-    def __init__(self, R: SymbolicRelation, values: Iterable[Fraction]):
+    def __init__(self, R: SymbolicRelation, values: Iterable[Fraction], depth: int):
         table = R._table
-        if table.integral:
-            # the table's long denominator comes last, so the gcds before it stay small
-            D = math.lcm(*(v.denominator for v in values), table.denominator)
-            self.scale, self._table = table.scaled(D)
-        else:
-            self.scale, self._table = None, table  # D = 1, and the numbers stay Fractions
+        # the table's long denominator comes last, so the gcds before it stay small
+        D = math.lcm(*(v.denominator for v in values), table.denominator)
+        self.scale, self._table = table.scaled(D * table.q**depth)
         self._fractions: dict[int, Fraction] = {}
 
-    def times(self, v: Fraction):
-        """v in the frame's numbers."""
-        return v if self.scale is None else _times(v, self.scale)
-
-    def pieces(self, pieces: Sequence[tuple]) -> Sequence[tuple]:
-        """Closed pieces (lo, hi) of the relation's numbers in the frame's numbers."""
-        D = self.scale
-        return pieces if D is None else tuple((_times(lo, D), _times(hi, D)) for lo, hi in pieces)
-
-    def region(self, A: Region1D) -> Region1D:
-        """A region of the relation in the frame's numbers."""
-        return Region1D._wrap(self.pieces(A.pieces))
+    def pieces(self, pieces: Sequence[tuple]) -> tuple[tuple[int, int], ...]:
+        """Closed pieces (lo, hi) of the relation's numbers in the frame's ints."""
+        S = self.scale
+        return tuple((_times(lo, S), _times(hi, S)) for lo, hi in pieces)
 
     def _exact(self, n: int) -> Fraction:
         got = self._fractions.get(n)
@@ -301,17 +288,33 @@ class _Frame:
             got = self._fractions[n] = Fraction(n, self.scale)
         return got
 
-    def exact(self, walk: tuple) -> tuple[Fraction, ...]:
+    def exact(self, walk: Iterable[int]) -> tuple[Fraction, ...]:
         """The walk in the relation's own numbers."""
-        D = self.scale
-        return walk if D is None else tuple(Fraction(n, D) for n in walk)
+        return tuple(map(self._exact, walk))
 
     def exact_region(self, A: Region1D) -> Region1D:
         """The region in the relation's own numbers."""
-        if self.scale is None:
-            return A
         f = self._exact
         return Region1D._wrap(tuple((f(lo), f(hi)) for lo, hi in A.pieces))
+
+    def splice(self, exact: Region1D, old: Region1D, new: Region1D, frontier: Region1D) -> Region1D:
+        """`new` = old u frontier in the relation's own numbers, given `exact`, old in them.
+
+        Only the pieces of new that hold a frontier piece are mapped back; the
+        runs of old's pieces between them are copied from exact.
+        """
+        f = self._exact
+        olds, news = old.pieces, new.pieces
+        out: list[tuple[Fraction, Fraction]] = []
+        i = 0  # the next piece of old to copy
+        for j in sorted({bisect.bisect_left(news, lo, key=_HI) for lo, _ in frontier.pieces}):
+            a, b = news[j]
+            k = bisect.bisect_left(olds, a, i, key=_HI)
+            out += exact.pieces[i:k]
+            out.append((f(a), f(b)))
+            i = bisect.bisect_right(olds, b, k, key=_LO)
+        out += exact.pieces[i:]
+        return Region1D._wrap(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +324,33 @@ class _Frame:
 def sym_image(R: SymbolicRelation, A: Region1D) -> Region1D:
     """Exact one-step image of a region.
 
-    Rows come in order of x-range start, so the first piece of A that can
-    meet each row is found by one bisect from the previous row's; the sweep
-    walks forward while pieces start inside the row's x-range.  A row whose
-    whole x-range lies in a piece keeps its end values, with no arithmetic.
-    The sweep inlines `_window_image`, saving a call per (row, piece) pair.
+    R is a relation, imaged in a depth-one frame on A's ends, or a frame
+    whose ints A is in.  Rows come in order of x-range start, so the first
+    piece of A that can meet each row is found by one bisect from the
+    previous row's; the sweep walks forward while pieces start inside the
+    row's x-range.  A row whose whole x-range lies in a piece keeps its end
+    values.  The sweep inlines `_window_image`, saving a call per pair.
     """
-    pieces = A.pieces
-    out: list[tuple[Fraction, Fraction]] = []
+    frame = R if isinstance(R, _Frame) else _Frame(R, itertools.chain(*A.pieces), 1)
+    pieces = A.pieces if frame is R else frame.pieces(A.pieces)
+    out: list[tuple[int, int]] = []
     k = 0
-    for ax, bx, ay, by, slope in R._table.rows:
+    for ax, bx, ay, by, num, den in frame._table.rows:
         k = j = bisect.bisect_left(pieces, ax, k, key=_HI)
         while j < len(pieces) and pieces[j][0] <= bx:
             lo, hi = pieces[j]
             j += 1
-            if slope is None:
+            if num is None:
                 out.append((ay, by))
-            elif not slope:
+            elif not num:
                 out.append((ay, ay))
             else:
-                yc = ay if lo <= ax else ay + (lo - ax) * slope
-                yd = by if hi >= bx else ay + (hi - ax) * slope
-                out.append((yc, yd) if slope > 0 else (yd, yc))
+                yc = ay if lo <= ax else ay + (lo - ax) * num // den
+                yd = by if hi >= bx else ay + (hi - ax) * num // den
+                out.append((yc, yd) if num > 0 else (yd, yc))
     out.sort()
-    return Region1D._wrap(_merge(out))
+    image = Region1D._wrap(_merge(out))
+    return image if frame is R else frame.exact_region(image)
 
 
 def sym_preimage(R: SymbolicRelation, A: Region1D) -> Region1D:
@@ -411,31 +417,38 @@ def sym_reach(
     """Cumulative reach start u G(start) u ...; stabilized reports exactness."""
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    frame = _Frame(R, itertools.chain(*start.pieces))
-    acc = frontier = frame.region(start)
+    frame = _Frame(R, itertools.chain(*start.pieces), max_iter + 1)
+    acc = frontier = Region1D._wrap(frame.pieces(start.pieces))
     steps = 0
     for steps, (acc, frontier) in enumerate(itertools.islice(_frontier_chase(frame, acc), max_iter), 1):
         pass
-    # past max_iter, one more image detects stabilization exactly at the boundary
+    # past max_iter, one more image (within the depth) detects stabilization
     stabilized = steps < max_iter or acc.contains_region(sym_image(frame, frontier))
     return frame.exact_region(acc), stabilized
 
 
-def _reach_chain(frame: _Frame, start: Region1D, max_iter: int) -> list[Region1D]:
-    """Cumulative regions [R_0, R_1, ...] in the frame's numbers, up to max_iter or stabilization."""
-    chain = [start]
-    chain += (acc for acc, _ in itertools.islice(_frontier_chase(frame, start), max_iter))
+def _reach_chain(frame: _Frame, start: Region1D, max_iter: int) -> list[tuple[Region1D, Region1D]]:
+    """[(R_0, R_0), (R_1, F_1), ...] in the frame's ints, to max_iter or stabilization; F_n is new in R_n."""
+    chain = [(start, start)]
+    chain += itertools.islice(_frontier_chase(frame, start), max_iter)
     if len(chain) <= max_iter:
-        chain.append(chain[-1])  # the step that adds nothing
+        chain.append((chain[-1][0], Region1D.empty()))  # the step that adds nothing
     return chain
 
 
 def sym_reach_chain(R: SymbolicRelation, start: Region1D, max_iter: int) -> list[Region1D]:
-    """Cumulative regions [R_0, R_1, ...] up to max_iter or stabilization."""
+    """Cumulative regions [R_0, R_1, ...] up to max_iter or stabilization.
+
+    Each step maps only its frontier back to Fractions (`_Frame.splice`).
+    """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    frame = _Frame(R, itertools.chain(*start.pieces))
-    return [frame.exact_region(acc) for acc in _reach_chain(frame, frame.region(start), max_iter)]
+    frame = _Frame(R, itertools.chain(*start.pieces), max_iter)
+    links = _reach_chain(frame, Region1D._wrap(frame.pieces(start.pieces)), max_iter)
+    chain = [start]
+    for (old, _), (new, frontier) in zip(links, links[1:]):
+        chain.append(frame.splice(chain[-1], old, new, frontier))
+    return chain
 
 
 def is_total(R: SymbolicRelation) -> bool:
@@ -506,9 +519,10 @@ def point_successors(
     Every row whose x-range holds p gives a single successor, except a
     vertical segment at p, which gives a range to choose from.
     """
-    table = R._table
-    values, columns = table.at(_as_fraction(p))
-    return sorted(values), [table.rows[i][2:4] for i in columns]
+    p = _as_fraction(p)
+    frame = _Frame(R, (p,), 1)
+    values, columns = frame._table.at(_times(p, frame.scale))
+    return sorted(frame.exact(values)), [R._table.rows[i][2:4] for i in columns]
 
 
 def _range_choices(lo, hi, step) -> list:
@@ -535,7 +549,10 @@ def successor_choices(
     R: SymbolicRelation, p: Fraction, choice_step: Fraction
 ) -> list[Fraction]:
     """The sorted successors of p, each column at p sampled every choice_step; a fresh list."""
-    return list(R._table.choices(_as_fraction(p), _positive_step(choice_step)))
+    p, step = _as_fraction(p), _positive_step(choice_step)
+    frame = _Frame(R, (p, step), 1)
+    S = frame.scale
+    return list(frame.exact(frame._table.choices(_times(p, S), _times(step, S))))
 
 
 @dataclass(frozen=True)
@@ -563,19 +580,19 @@ class WalkSearchResult:
 class _SearchFrame(_Frame):
     """A walk search's frame, with its start `x`, choice `step` and eps-net test `cover`.
 
-    D covers x, eps, the step and the space's component ends as well as the
-    table rows, so all four are in the frame's numbers, and so is a column's
-    choice grid k * step.  Successors come from the memo of the table the
-    search reads (`_PrimitiveTable.choices`).
+    D covers x, eps, the step and the space's component ends, and the depth
+    is the horizon.  Successors come from the memo of the table the search
+    reads (`_PrimitiveTable.choices`).
     """
 
     __slots__ = ("x", "step", "cover")
 
-    def __init__(self, R: SymbolicRelation, x: Fraction, eps: Fraction, step: Fraction):
+    def __init__(self, R: SymbolicRelation, x: Fraction, eps: Fraction, step: Fraction, horizon: int):
         comps = R.space._components
-        super().__init__(R, itertools.chain((x, eps, step), *comps))
-        self.x, self.step = self.times(x), self.times(step)
-        self.cover = _CoverFrame(self.pieces(comps), self.times(eps))
+        super().__init__(R, itertools.chain((x, eps, step), *comps), horizon)
+        S = self.scale
+        self.x, self.step = _times(x, S), _times(step, S)
+        self.cover = _CoverFrame(self.pieces(comps), _times(eps, S))
 
 
 _PRUNE = object()  # a visit verdict: drop this state and keep searching
@@ -663,7 +680,7 @@ def _checked_query(R: SymbolicRelation, x, eps, horizon: int) -> tuple[Fraction,
 def _search_frame(R: SymbolicRelation, x, eps, horizon: int, choice_step) -> _SearchFrame:
     x, eps = _checked_query(R, x, eps, horizon)
     step = _positive_step(choice_step) if choice_step is not None else eps / 2
-    return _SearchFrame(R, x, eps, step)
+    return _SearchFrame(R, x, eps, step, horizon)
 
 
 def bounded_walk_search(
@@ -823,7 +840,7 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
     on; they stay unknown unless R is total.
 
     The images, the reach chain and its density tests run in the frame of
-    the walk searches, so on an integer-slope relation they share its scaled
+    the walk searches, whose depth is the horizon, so they share its scaled
     table with the searches that follow.
     """
     frame = _search_frame(R, x, eps, horizon, None)
@@ -837,7 +854,7 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
             if images.is_empty():
                 return IntervalPointTag(refuted, refuted, refuted, refuted, dies_at=n)
     legal = certified if total else unknown
-    chain = _reach_chain(frame, start, horizon)
+    chain = [acc for acc, _ in _reach_chain(frame, start, horizon)]
     covers = frame.cover.covers
     grade = next((n for n in range(1, len(chain)) if covers(chain[n].pieces)), None)
     if grade is None and len(chain) >= 2 and chain[-1] == chain[-2]:
@@ -908,7 +925,7 @@ def grid_transitivity_check(
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     cells = _capped_cells(R.space, _as_fraction(delta), _BOX_CAP)
-    frame = _Frame(R, itertools.chain(*cells))
+    frame = _Frame(R, itertools.chain(*cells), horizon)
     scaled = frame.pieces(cells)
     misses: list[tuple[int, int]] = []
     max_steps = 0
@@ -943,8 +960,8 @@ def forward_union(
         raise ValueError("horizon must be non-negative")
     if not include_start and horizon < 1:
         return Region1D.empty()  # no k in 1..horizon
-    frame = _Frame(R, itertools.chain(*U.pieces))
-    acc = frame.region(U)
+    frame = _Frame(R, itertools.chain(*U.pieces), horizon)
+    acc = Region1D._wrap(frame.pieces(U.pieces))
     if not include_start:
         acc, horizon = sym_image(frame, acc), horizon - 1
     for acc, _ in itertools.islice(_frontier_chase(frame, acc), horizon):

@@ -34,6 +34,7 @@ from crdyn.symbolic import (
     sym_image,
     sym_preimage,
 )
+from region_helpers import intersects_open_interval
 
 # ---------------------------------------------------------------------------
 # references: the per-primitive code
@@ -83,7 +84,7 @@ def ref_mark(cells, pending, region):
         if vlo == vhi:
             if region.contains_point(vlo):
                 done.append(vi)
-        elif region.intersects_open_interval(vlo, vhi):
+        elif intersects_open_interval(region, vlo, vhi):
             done.append(vi)
     pending.difference_update(done)
 

@@ -27,7 +27,7 @@ from crdyn.symbolic import (
     sym_branch_cover,
 )
 from crdyn.tree import unique_infinite_branch
-from test_integer_frame import ref_orbit_dfs, ref_search_args
+from fraction_reference import ref_orbit_dfs, ref_search_args
 
 # ---------------------------------------------------------------------------
 # references

@@ -41,6 +41,7 @@ from crdyn.symbolic import (
     sym_reach_chain,
 )
 from crdyn.tree import branch_summary
+from region_helpers import intersects_open_interval
 
 DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -492,7 +493,7 @@ def ref_grid_transitivity_check(R, delta, horizon, positive_only=False):
             for vi in list(pending):
                 vlo, vhi = cells[vi]
                 if (region.contains_point(vlo) if vlo == vhi
-                        else region.intersects_open_interval(vlo, vhi)):
+                        else intersects_open_interval(region, vlo, vhi)):
                     pending.discard(vi)
 
         mark(acc)

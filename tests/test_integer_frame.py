@@ -1,8 +1,8 @@
-"""The walk searches on the integer frame against the Fraction searches they replaced.
+"""The walk searches on a frame's ints against the Fraction searches they replaced.
 
-The references below are `_orbit_dfs` and the three searches as they were
-before a search on an integer-slope relation ran on the ints n of the values
-n/D: every number a Fraction, successors recomputed at every node, and the
+The references (in fraction_reference) are `_orbit_dfs` and the three
+searches as they were before a search ran on the ints n of the values n/S:
+every number a Fraction, successors recomputed at every node, and the
 farthest-first order sorting by (distance, -v).  The new code must give the
 same status, witness and node count, and witnesses made of Fractions.  The
 division-free gap test is checked against the midpoint form it replaced.
@@ -14,8 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from crdyn import gallery
-from crdyn.classify import BranchCoverResult, BudgetExceededError, Certainty, _min_cover
-from crdyn.region import OrbitCover, Region1D, Space1D, _CoverFrame, _as_fraction, _distance
+from crdyn.region import Region1D, Space1D, _CoverFrame
 from crdyn.symbolic import (
     Segment,
     SinglePoint,
@@ -23,121 +22,12 @@ from crdyn.symbolic import (
     _orbit_dfs,
     _PrimitiveTable,
     _search_frame,
-    bounded_walk_search,
-    nondense_loop_search,
     successor_choices,
-    sym_branch_cover,
 )
+from fraction_reference import assert_same_searches as assert_same
 
 # ---------------------------------------------------------------------------
-# references
-
-_PRUNE = object()
-
-
-def ref_search_args(R, x, eps, choice_step):
-    x = _as_fraction(x)
-    eps = _as_fraction(eps)
-    if not R.space.contains_point(x):
-        raise ValueError(f"{x} is not a point of the space")
-    step = _as_fraction(choice_step) if choice_step is not None else eps / 2
-    return x, eps, step
-
-
-def ref_descending(cover, succs):
-    return sorted(succs, reverse=True)
-
-
-def ref_orbit_dfs(R, x, eps, horizon, step, budget, visit, order=ref_descending, memo_first=True):
-    best = {}
-
-    def stale(v, orbit, used):
-        key = (v, orbit)
-        prev = best.get(key)
-        if prev is not None and prev <= used:
-            return True
-        best[key] = used
-        return False
-
-    nodes = 0
-    stack = [((), frozenset(), OrbitCover(R.space, eps), x)]
-    while stack:
-        prefix, seen, parent, v = stack.pop()
-        walk = prefix + (v,)
-        orbit = seen | {v}
-        cover = parent.insert(v)
-        used = len(walk) - 1
-        if memo_first and stale(v, orbit, used):
-            continue
-        nodes += 1
-        if nodes > budget:
-            return "budget", None, nodes
-        got = visit(walk, orbit, cover)
-        if got is _PRUNE:
-            continue
-        if got is not None:
-            return "found", got, nodes
-        if not memo_first and stale(v, orbit, used):
-            continue
-        if used >= horizon:
-            continue
-        for w in order(cover, successor_choices(R, v, step)):
-            stack.append((walk, orbit, cover, w))
-    return "exhausted", None, nodes
-
-
-def ref_bounded_walk_search(R, x, eps, horizon, choice_step=None, budget=100000):
-    x, eps, step = ref_search_args(R, x, eps, choice_step)
-
-    def visit(walk, orbit, cover):
-        return walk if cover.dense() else None
-
-    def farthest_last(cover, succs):
-        pts = cover.points
-        return sorted(succs, key=lambda v: (_distance(pts, pts, v), -v))
-
-    return ref_orbit_dfs(R, x, eps, horizon, step, budget, visit, farthest_last)
-
-
-def ref_nondense_loop_search(R, x, eps, horizon, choice_step=None, budget=100000):
-    x, eps, step = ref_search_args(R, x, eps, choice_step)
-
-    def visit(walk, orbit, cover):
-        if cover.dense():
-            return _PRUNE
-        return walk if len(orbit) < len(walk) else None
-
-    return ref_orbit_dfs(R, x, eps, horizon, step, budget, visit, memo_first=False)
-
-
-def ref_sym_branch_cover(R, x, eps, horizon, choice_step=None, budget=50000, max_candidates=128):
-    x, eps, step = ref_search_args(R, x, eps, choice_step)
-    achieved = {}
-
-    def visit(walk, orbit, cover):
-        known = achieved.get(orbit)
-        if known is None or (len(walk), walk) < (len(known), known):
-            achieved[orbit] = walk
-        return None
-
-    status, _, _ = ref_orbit_dfs(R, x, eps, horizon, step, budget, visit)
-    if status == "budget":
-        raise BudgetExceededError("walk family too large for branch cover search")
-    pairs = sorted(achieved.items(), key=lambda item: item[1])
-    kept = []
-    for orbit, walk in pairs:
-        if any(orbit < other for other, _ in kept):
-            continue
-        kept = [(o, w) for o, w in kept if not (o < orbit)]
-        kept.append((orbit, walk))
-    if len(kept) > max_candidates:
-        raise BudgetExceededError("too many candidate walks for branch cover search")
-    kept.sort(key=lambda item: item[1])
-    picked = _min_cover(kept, lambda orbit: OrbitCover(R.space, eps, orbit).dense())
-    if picked is None:
-        return BranchCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
-    size, idx = picked
-    return BranchCoverResult(size, tuple(kept[i][1] for i in idx), horizon, Certainty.CERTIFIED)
+# reference: the gap test's midpoint form
 
 
 def ref_bad_gap(components, eps, p, q):
@@ -146,39 +36,6 @@ def ref_bad_gap(components, eps, p, q):
         return False
     mid = (p + q) / 2
     return any(lo <= mid <= hi for lo, hi in components)
-
-
-# ---------------------------------------------------------------------------
-# comparison
-
-
-def outcome(call):
-    try:
-        return call()
-    except BudgetExceededError as exc:
-        return ("raised", str(exc))
-
-
-def assert_fractions(walk):
-    assert all(type(v) is F for v in walk), walk
-
-
-def assert_same(R, x, eps, horizon, step=None, budget=400):
-    """All three searches give the reference's status, witness and node count."""
-    for new, ref in ((bounded_walk_search, ref_bounded_walk_search),
-                     (nondense_loop_search, ref_nondense_loop_search)):
-        got = new(R, x, eps, horizon, step, budget)
-        want = ref(R, x, eps, horizon, step, budget)
-        assert (got.status, got.witness, got.nodes) == want, (new.__name__, x, eps, horizon, step)
-        if got.witness is not None:
-            assert_fractions(got.witness)
-    # few candidates keep the exact cover selection, exponential in them, small
-    got = outcome(lambda: sym_branch_cover(R, x, eps, horizon, step, budget, max_candidates=10))
-    want = outcome(lambda: ref_sym_branch_cover(R, x, eps, horizon, step, budget, max_candidates=10))
-    assert got == want, ("sym_branch_cover", x, eps, horizon, step)
-    if isinstance(got, BranchCoverResult):
-        for walk in got.witnesses:
-            assert_fractions(walk)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +114,7 @@ def test_gallery_relations(name, inst):
 
 @pytest.mark.parametrize("name,R", RANDOM, ids=[name for name, _ in RANDOM])
 def test_random_integer_slope_relations(name, R):
-    assert R._table.integral
+    assert R._table.q == 1
     rng = random.Random(name)
     starts = [F(1, 3), F(7, 5), F(10, 3), F(5, 2), F(5), F(rng.randint(0, 12), 6)]
     steps = ((F(1, 3), None), (F(1, 5), F(1, 7)), (F(1, 6), F(1, 10)), (F(1, 4), F(1, 3)))
@@ -267,11 +124,15 @@ def test_random_integer_slope_relations(name, R):
                 assert_same(R, x, eps, horizon, step, budget=300)
 
 
-def test_ex4_runs_on_fractions_at_scale_one():
-    R = gallery.build("ex4").relation
-    assert not R._table.integral
+def test_ex4_runs_on_ints_at_d_times_q_to_the_horizon():
+    ex4 = gallery.build("ex4").relation
+    R = SymbolicRelation(ex4.space, ex4.primitives)  # a fresh table, holding no scale yet
+    assert R._table.q == 32  # the slope 243/32
     frame = _search_frame(R, F(1, 2), F(1, 16), 10, None)
-    assert frame.scale is None and frame._table is R._table
+    assert R._table.denominator == 7776  # 2**5 * 3**5: every other value's denominator divides it
+    assert frame.scale == 7776 * 32**10
+    assert all(type(v) is int for row in frame._table.rows for v in row[:4])
+    assert {row[4:] for row in frame._table.rows if row[4]} == {(243, 32)}
     for x in (F(0), F(1, 3), F(1, 2)):
         for eps, step in ((F(1, 16), None), (F(1, 5), F(1, 7))):
             assert_same(R, x, eps, 50, step)
@@ -282,9 +143,9 @@ def test_integer_slope_relations_run_on_ints():
         Space1D(intervals=[(0, 1)]), [Segment(0, 0, F(1, 2), 1), Segment(F(1, 2), 1, 1, 0)]
     )
     frame = _search_frame(tent, F(1, 3), F(1, 32), 10, F(1, 10))
-    assert frame.scale == 480  # the lcm of 2 (the rows), 3, 32 and 10
+    assert frame.scale == 480  # the lcm of 2 (the rows), 3, 32 and 10, at every depth since q = 1
     assert (frame.x, frame.step, frame.cover.eps) == (160, 48, 15)
-    assert frame._table.rows == [(0, 240, 0, 480, 2), (240, 480, 480, 0, -2)]
+    assert frame._table.rows == [(0, 240, 0, 480, 2, 1), (240, 480, 480, 0, -2, 1)]
     # the held scale serves every divisor of it, and a new scale replaces it
     assert tent._table.scaled(480) == (480, frame._table)
     assert tent._table.scaled(96) == (480, frame._table)

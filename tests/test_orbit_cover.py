@@ -20,6 +20,7 @@ from crdyn.symbolic import (
     nondense_loop_search,
     successor_choices,
 )
+from region_helpers import isolated_points
 
 # ---------------------------------------------------------------------------
 # references: full rebuild of the orbit region at every node
@@ -106,7 +107,7 @@ def space_points(space: Space1D) -> list[F]:
 
 def assert_cover_agrees(space, eps, cover, points):
     region = Region1D.from_points(points)
-    assert cover.points == region.isolated_points()
+    assert cover.points == isolated_points(region)
     assert cover.dense() == eps_dense(space, region, eps)
 
 

@@ -102,13 +102,13 @@ class TestRows:
         prims = [Segment(0, 0, F(1, 2), 1), Segment(F(1, 2), 1, 1, 0), SinglePoint(F(1, 4), F(3, 4)),
                  Segment(F(3, 4), 0, F(3, 4), 1)]
         table = SymbolicRelation(Space1D(intervals=[(0, 1)]), prims)._table
-        assert table.integral and table.denominator == 4
+        assert table.q == 1 and table.denominator == 4
         D, scaled = table.scaled(8)
         assert D == 8
         assert scaled.rows == [
-            (0, 4, 0, 8, 2), (2, 2, 6, 6, 0), (4, 8, 8, 0, -2), (6, 6, 0, 8, None),
+            (0, 4, 0, 8, 2, 1), (2, 2, 6, 6, 0, 1), (4, 8, 8, 0, -2, 1), (6, 6, 0, 8, None, 1),
         ]
-        assert scaled.integral and scaled.denominator == 1
+        assert scaled.denominator == 1
         assert table.scaled(8)[1] is scaled
 
     def test_dataclass_surface_is_the_coordinates(self):

@@ -3,10 +3,10 @@
 Each search below runs on one relation per gallery interval instance, whose
 table memo is kept from search to search, and again on a freshly parsed copy
 of the relation, whose memo starts empty.  The searches interleave two choice
-steps as a, b, a at one eps, so on integer-slope relations both steps run on
-the same scaled table and only the memo's step key tells their column grids
-apart; the starts change the frame's denominator, which rebuilds the scaled
-table unless the scale it holds is a multiple of the new one.  Status,
+steps as a, b, a at one eps, so both steps run on the same scaled table and
+only the memo's step key tells their column grids apart; the starts change
+the frame's denominator, which rebuilds the scaled table unless the scale it
+holds is a multiple of the new one.  Status,
 witness and node count must not depend on what the memo already held.  The
 reach chases run at the scale the table holds, so they keep the searches'
 scaled table and its memo.
@@ -88,11 +88,12 @@ def test_editing_a_successor_list_changes_no_later_answer(name):
 
 def test_a_new_step_keeps_the_lists_of_the_others():
     # the memo holds every step asked for, so its hits do not depend on query order
-    table = fresh("ex4")._table
-    a, b = STEPS[0], STEPS[1]
-    first = table.choices(F(1, 2), a)
-    table.choices(F(1, 2), b)
-    assert table.choices(F(1, 2), a) is first
+    S, table = fresh("ex4")._table.scaled(7776 * 32)  # depth one: the rows' 7776 times q = 32
+    a, b = S * STEPS[0], S * STEPS[1]
+    x = S // 2
+    first = table.choices(x, a)
+    table.choices(x, b)
+    assert table.choices(x, a) is first
     assert set(table.memo) == {a, b}
 
 

@@ -25,6 +25,7 @@ from crdyn.symbolic import (
     sym_reach,
     sym_reach_chain,
 )
+from region_helpers import covered_region
 
 UNIT = Space1D(intervals=[(0, 1)])
 CROSS_MID = SymbolicRelation(
@@ -214,7 +215,7 @@ class TestDiscretize:
             for n in range(1, 5):
                 exact = sym_image(R, exact)
                 boxes = fimage(finite, start_boxes, n)
-                cover = pred.covered_region(boxes)
+                cover = covered_region(pred, boxes)
                 assert cover.contains_region(exact), (segs, start, n)
 
 
