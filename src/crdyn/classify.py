@@ -273,10 +273,8 @@ def _cumulative(layers: Iterator[frozenset]) -> Iterator[frozenset]:
 
 def reach(G: FiniteRelation, x: int, n: int | None = OMEGA) -> frozenset:
     """The n-reach {x} u G(x) u ... u G^n(x); n=None gives the stabilized set."""
-    out: set[int] = set()
-    for layer in itertools.islice(_reach_layers(G, x), None if n is None else max(n, 0) + 1):
-        out |= layer
-    return frozenset(out)
+    layers = itertools.islice(_reach_layers(G, x), None if n is None else max(n, 0) + 1)
+    return frozenset().union(*layers)
 
 
 def reach_chain(G: FiniteRelation, x: int, max_steps: int | None = None) -> list[frozenset]:
@@ -298,8 +296,21 @@ def reach_grade(G: FiniteRelation, x: int, dense: DensityPredicate) -> int | Non
 
 
 def orbit_union(G: FiniteRelation, x: int) -> frozenset:
-    """Union of all infinite-trajectory orbits from x: reachable legal points."""
-    return reach(G, x) & _analysis(G).legal
+    """Union of all infinite-trajectory orbits from x: reachable legal points.
+
+    From the condensation: the legal components x's reaches in the DAG; illegal ones reach none.
+    """
+    if not 0 <= x < G.space.size:
+        raise ValueError("point outside the space")
+    a = _analysis(G)
+    cond, live = a.cond, a.reach_live
+    todo = [c for c in (cond.scc_of[x],) if live[c]]
+    seen = set(todo)
+    while todo:
+        new = {d for d in cond.dag_succ[todo.pop()] if live[d]} - seen
+        seen |= new
+        todo += new
+    return frozenset().union(*(cond.members[c] for c in seen))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ are deterministic and record the parameters they were produced with.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -115,12 +116,8 @@ def _space_point(relation: SymbolicRelation, text: str) -> Fraction:
 
 
 def _header(cmd: str, **params) -> str:
-    parts = [f"# crdyn {cmd}"]
-    for key, value in params.items():
-        if isinstance(value, Fraction):
-            value = format_fraction(value)
-        parts.append(f"{key}={value}")
-    return " ".join(parts)
+    shown = {k: format_fraction(v) if isinstance(v, Fraction) else v for k, v in params.items()}
+    return " ".join([f"# crdyn {cmd}", *(f"{k}={v}" for k, v in shown.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +126,7 @@ def _header(cmd: str, **params) -> str:
 
 def _cmd_classify(args) -> int:
     relation, density = _load(args.file)
-    eps = args.eps or DEFAULT_EPS
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
+    eps, horizon = args.eps or DEFAULT_EPS, args.horizon
     header = _header("classify", file=args.file, eps=eps, horizon=horizon)
     if isinstance(relation, FiniteRelation):
         if density is not None:
@@ -218,12 +214,11 @@ def _cmd_tree(args) -> int:
 
 def _cmd_transitive(args) -> int:
     relation, _ = _load(args.file)
-    eps = args.eps or DEFAULT_DELTA
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
+    eps, horizon = args.eps or DEFAULT_DELTA, args.horizon
+    label = "+transitive" if args.plus else "transitive"
     if isinstance(relation, FiniteRelation):
         print(_header("transitive", file=args.file))
         verdict = system_transitive(relation, plus=args.plus)
-        label = "+transitive" if args.plus else "transitive"
         print(f"{label}: {str(verdict).lower()}")
         report = characterization_suite(relation)
         print("statements 1-8:", " ".join(str(s).lower() for s in report.statements))
@@ -233,7 +228,6 @@ def _cmd_transitive(args) -> int:
         return 0
     report = grid_transitivity_check(relation, eps, horizon, positive_only=args.plus)
     print(_header("transitive", file=args.file, delta=eps, horizon=horizon))
-    label = "+transitive" if args.plus else "transitive"
     if report.transitive:
         print(f"{label}-at-grid: certified (max steps {report.max_steps_needed})")
     else:
@@ -278,8 +272,7 @@ def _cmd_mahavier(args) -> int:
         raise _UsageError("walk enumeration is defined for finite instances")
     print(_header("mahavier", file=args.file, depth=args.depth))
     if args.list is not None:
-        walks = mahavier_enumerate(relation, args.depth, args.list)
-        for walk in walks:
+        for walk in mahavier_enumerate(relation, args.depth, args.list):
             print(" ".join(walk.labels()))
         return 0
     print(f"count: {mahavier_count(relation, args.depth)}")
@@ -336,6 +329,7 @@ def _cmd_gallery(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process
 def _parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="crdyn",
@@ -347,7 +341,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.add_argument("--point", default=None)
     c.add_argument("--eps", type=_positive_fraction, default=None)
-    c.add_argument("--horizon", type=_count(0), default=None)
+    c.add_argument("--horizon", type=_count(0), default=DEFAULT_HORIZON)
     c.set_defaults(fn=_cmd_classify)
 
     t = sub.add_parser("tree", help="level listing of the walk tree, optional DOT export")
@@ -361,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
     tr.add_argument("file")
     tr.add_argument("--plus", action="store_true")
     tr.add_argument("--eps", type=_positive_fraction, default=None)
-    tr.add_argument("--horizon", type=_count(0), default=None)
+    tr.add_argument("--horizon", type=_count(0), default=DEFAULT_HORIZON)
     tr.set_defaults(fn=_cmd_transitive)
 
     r = sub.add_parser("reach", help="reach chain with stabilization report")

@@ -10,9 +10,10 @@ enlarging the subset never turns a dense verdict false.  Two kinds exist:
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, Sequence
 
-from .region import Piece, Region1D, Space1D, _CoverFrame, _as_fraction, _merge
+from .region import Piece, Region1D, Space1D, _CoverFrame, _as_fraction, _merge, _times
 
 
 class DensityPredicate(Protocol):
@@ -39,9 +40,10 @@ class Exhaustive:
 class EpsNet:
     """dense(S) holds when the extents of S form an eps-net of the space.
 
-    The extent endpoints are ranked once, so a density test sorts and merges
-    the chosen extents as pairs of ranks and hands the merged pieces to the
-    space's covering test.
+    Extent ends, the space's component ends and eps are held as the ints n of
+    n/D (D the lcm of their denominators; scaling keeps the order), and the
+    extent ends are ranked once, so a density test merges the chosen extents
+    as pairs of ranks and hands the merged pieces to the covering test on ints.
     """
 
     __slots__ = ("space", "extents", "eps", "_frame", "_values", "_ranks")
@@ -49,17 +51,24 @@ class EpsNet:
     def __init__(self, space: Space1D, extents: Sequence[Piece], eps):
         self.space = space
         self.extents = tuple(extents)
-        self._frame = _CoverFrame(space._components, _as_fraction(eps))
-        self.eps = self._frame.eps
+        self.eps = eps = _as_fraction(eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         pieces = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in self.extents]
         for lo, hi in pieces:
             if lo > hi:
                 raise ValueError(f"extent bounds out of order: [{lo},{hi}]")
             if not space.contains_region(Region1D.interval(lo, hi)):
                 raise ValueError(f"extent [{lo},{hi}] leaves the space")
-        self._values = sorted({e for piece in pieces for e in piece})
-        rank = {v: k for k, v in enumerate(self._values)}
+        values = sorted({e for piece in pieces for e in piece})
+        rank = {v: k for k, v in enumerate(values)}
         self._ranks = [(rank[lo], rank[hi]) for lo, hi in pieces]
+        comps = space._components
+        D = math.lcm(eps.denominator, *(v.denominator for v in values),
+                     *(e.denominator for c in comps for e in c))
+        self._values = [_times(v, D) for v in values]
+        ints = [(_times(lo, D), _times(hi, D)) for lo, hi in comps]
+        self._frame = _CoverFrame(ints, _times(eps, D))
 
     @property
     def size(self) -> int:

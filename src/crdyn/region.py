@@ -36,6 +36,11 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _times(v: Fraction, D: int) -> int:
+    """v * D for a Fraction v whose denominator divides D."""
+    return v.numerator * (D // v.denominator)
+
+
 def _canonical(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
     """Sort, drop empties, merge overlapping or touching closed intervals."""
     return _merge(sorted((lo, hi) for lo, hi in pieces if lo <= hi))

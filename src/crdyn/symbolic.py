@@ -40,6 +40,7 @@ from .region import (
     _HI,
     _LO,
     _merge,
+    _times,
     _ZERO,
     grid_cells,
 )
@@ -204,11 +205,6 @@ class _PrimitiveTable:
                 out.update(_range_choices(*self.rows[i][2:4], step))
             got = memo[p] = sorted(out)
         return got
-
-
-def _times(v: Fraction, D: int) -> int:
-    """v * D for a Fraction v whose denominator divides D."""
-    return v.numerator * (D // v.denominator)
 
 
 class SymbolicRelation:

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_random_relation
+from crdyn import gallery
 from crdyn.classify import (
     Certainty,
     ClassificationTag,
@@ -23,7 +24,9 @@ from crdyn.classify import (
     _analysis,
     classify_all,
     classify_point,
+    legal_by_cycle_reach,
     oracle_classify,
+    orbit_union,
     reach,
     reach_grade,
 )
@@ -31,6 +34,7 @@ from crdyn.density import EpsNet, Exhaustive
 from crdyn.finite import FiniteRelation
 from crdyn.io import parse_document
 from crdyn.region import Space1D
+from crdyn.symbolic import discretize
 from crdyn.tree import BranchSummary, _finite_branch_stats, branch_summary
 from test_fold_reference import (
     DATA,
@@ -244,6 +248,40 @@ class TestAgainstReference:
         assert not got.cover_dense
         assert (got.exists_infinite_dense_branch, got.all_infinite_branches_dense) == (False, False)
         assert got == BranchSummary(**{**ref.__dict__, "exists_infinite_dense_branch": False})
+
+
+class TestOrbitUnion:
+    """orbit_union reads the condensation; reach's BFS and the cycle-reach legal set
+    are the independent route."""
+
+    @staticmethod
+    def check(G):
+        legal = legal_by_cycle_reach(G)
+        for x in range(G.space.size):
+            assert orbit_union(G, x) == reach(G, x) & legal, (G, x)
+
+    def test_random_relations(self):
+        rng = random.Random(173)
+        for _ in range(300):
+            self.check(make_random_relation(rng, max_points=12))
+        for _ in range(10):
+            self.check(random_graph(rng, rng.randint(30, 150)))
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 150])
+    def test_paths_and_cycles(self, n):
+        self.check(path(n))
+        self.check(cycle(n))
+
+    @pytest.mark.parametrize("name", ["ex1", "exxi", "fse2"])
+    def test_discretized_gallery_relations(self, name):
+        G, _ = discretize(gallery.build(name).relation, F(1, 32))
+        self.check(G)
+
+    def test_a_point_outside_the_space_is_refused(self):
+        G = path(3)
+        for x in (-1, 3):
+            with pytest.raises(ValueError, match="point outside the space"):
+                orbit_union(G, x)
 
 
 class TestCachedAnalysis:

@@ -1,18 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from crdyn import gallery
+from crdyn import cli, gallery
 from crdyn.cli import main
 from crdyn.io import parse_instance, serialize_instance
 from crdyn.region import format_fraction
 from crdyn.symbolic import SymbolicRelation, classify_interval_point
 
 GOLDEN_INTERVAL_CLASSIFY = Path(__file__).resolve().parent / "golden" / "interval_classify.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -26,7 +30,7 @@ def run_cli(*argv):
 def docs(tmp_path_factory):
     root = tmp_path_factory.mktemp("docs")
     paths = {}
-    for name in ("dens", "pair-sink", "ex1", "fse1"):
+    for name in ("dens", "pair-sink", "ex1", "fse1", "ex32"):
         p = root / f"{name}.json"
         p.write_text(gallery.build(name).document())
         paths[name] = str(p)
@@ -89,6 +93,35 @@ class TestClassify:
     def test_unknown_point_is_usage_error(self, docs):
         code, _, err = run_cli("classify", docs["dens"], "--point", "zzz")
         assert code == 2
+
+
+class TestCachedParser:
+    """The parser is built once per process; parsing keeps no state between calls."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_usage_errors_between_good_runs_change_nothing(self, docs):
+        first = run_cli("classify", docs["ex32"])
+        assert first[0] == 0 and first[2] == ""
+        for argv in (("classify", docs["ex32"], "--eps", "0"), ("reach", docs["ex32"])):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert run_cli("classify", docs["ex32"]) == first
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "ex32"),
+        ("classify", "ex1", "--point", "1/2", "--eps", "1/4", "--horizon", "20"),
+    ])
+    def test_in_process_matches_a_fresh_process(self, docs, argv):
+        argv = [docs.get(a, a) for a in argv]
+        code, out, err = run_cli(*argv)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        fresh = subprocess.run([sys.executable, "-m", "crdyn.cli", *argv], capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err) and code == 0
 
 
 class TestParseErrors:

@@ -132,16 +132,20 @@ def ref_threshold_steps(lo, hi, step_batches, eps_values):
 DEN = 16
 
 
-def random_space(rng):
-    marks = sorted(rng.sample(range(4 * DEN + 1), rng.randint(1, 7)))
+def random_space(rng, dens=None):
+    """A space in [0, 4]: ends on the dyadic grid, or with the denominators dens."""
+    if dens is None:
+        marks = sorted(F(m, DEN) for m in rng.sample(range(4 * DEN + 1), rng.randint(1, 7)))
+    else:
+        marks = sorted({F(rng.randint(0, 4 * d), d) for d in dens for _ in range(rng.randint(1, 3))})
     intervals, isolated = [], []
     i = 0
     while i < len(marks):
         if i + 1 < len(marks) and rng.random() < 0.6:
-            intervals.append((F(marks[i], DEN), F(marks[i + 1], DEN)))
+            intervals.append((marks[i], marks[i + 1]))
             i += 2
         else:
-            isolated.append(F(marks[i], DEN))
+            isolated.append(marks[i])
             i += 1
     return Space1D(intervals=intervals, isolated=isolated)
 
@@ -229,6 +233,40 @@ def test_eps_net_dense_matches_the_region_route():
         assert net.dense(frozenset()) is False
         assert net.dense(frozenset(range(n))) == ref_net_dense(net, range(n))
     assert dense > 300
+
+
+def test_eps_net_on_unlike_denominators_matches_the_region_route():
+    # the net scales every end and eps by the lcm D of their denominators:
+    # ends on thirds, sevenths, twelfths and 64ths, eps coprime to them, and
+    # single-denominator spaces, where a D missing eps's factors shows
+    rng = random.Random(67)
+    dense = 0
+    for _ in range(120):
+        dens = rng.sample([3, 7, 12, 64], rng.randint(1, 3))
+        space = random_space(rng, dens)
+        comps = space.intervals + tuple((p, p) for p in space.isolated)
+        n = rng.randint(1, 12)
+        extents = []
+        for _ in range(n):
+            lo, hi = rng.choice(comps)
+            m = rng.choice(dens)
+            extents.append(tuple(sorted(lo + (hi - lo) * F(rng.randint(0, m), m) for _ in range(2))))
+        eps = rng.choice([F(1, 5), F(2, 9), F(1, 3), F(5, 12), F(3, 7), F(1, 64), F(7, 5)])
+        net = EpsNet(space, extents, eps)
+        assert all(type(v) is int for v in net._values)
+        subsets = range(2**n) if n <= 8 else [rng.getrandbits(n) for _ in range(64)]
+        for bits in subsets:
+            points = frozenset(i for i in range(n) if bits >> i & 1)
+            got = net.dense(points)
+            assert got == ref_net_dense(net, points), (space, extents, eps, points)
+            dense += got
+        other = net.with_eps(F(2, 9))
+        for e, got in ((eps, net), (F(2, 9), other)):
+            assert type(got.eps) is F and got.eps == e
+            assert repr(got) == f"EpsNet(eps={e}, points={n})"
+            assert got.extents == tuple(extents)
+        assert other.dense(frozenset(range(n))) == ref_net_dense(other, range(n))
+    assert dense > 1000
 
 
 def test_distance_to_matches_the_linear_scan():
