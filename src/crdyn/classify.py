@@ -3,8 +3,8 @@
 Two independent routes are provided and cross-tested:
 
 * `classify_point` / `classify_all`: polynomial decisions read from one
-  analysis of the relation's condensation, cached on the relation.  Under
-  the exhaustive predicate they are structural rules over its components.
+  condensation of the relation, cached on the relation.  Under the
+  exhaustive predicate they are structural rules over its components.
 * `oracle_classify`: brute-force exploration of (current point, visited set)
   states, for small instances only.
 
@@ -99,9 +99,23 @@ def legal_by_cycle_reach(G: FiniteRelation) -> frozenset:
 
 
 class Condensation:
-    """Strongly connected components of a relation, with their DAG."""
+    """Strongly connected components of a relation, their DAG, and what the
+    finite decisions read from it; built once per relation (see `_analysis`).
 
-    __slots__ = ("scc_of", "members", "dag_succ", "live", "count")
+    Tarjan emits a component after all it reaches, so DAG edges point to
+    lower indices: one ascending pass gives `reach_live`, `reach_dead` (some
+    walk from the component ends at a successor-free point) and the `legal`
+    points, and descending indices are a topological order.  When it is the
+    only one (consecutive components adjacent) and the sink 0 is live, some
+    walk visits every point, starting in `chain_source`, the top component.
+    `source` is the unique source component (or None): when every point is
+    legal, its points are those whose orbit union is the whole space.
+    """
+
+    __slots__ = (
+        "scc_of", "members", "dag_succ", "live", "count",
+        "reach_live", "reach_dead", "legal", "chain_source", "source", "_trans1",
+    )
 
     def __init__(self, G: FiniteRelation):
         n = G.space.size
@@ -163,33 +177,18 @@ class Condensation:
                 dag[ca].add(cb)
         self.dag_succ = tuple(frozenset(s) for s in dag)
         self.live = tuple(live)
-
-
-class _Analysis:
-    """What the finite decisions read from one relation, built once per relation.
-
-    Tarjan emits a component after all it reaches, so DAG edges point to
-    lower indices: one ascending pass gives `reach_live` and the `legal`
-    points, and descending indices are a topological order.  When it is the
-    only one (consecutive components adjacent) and the sink 0 is live, some
-    walk visits every point, starting in `chain_source`, the top component.
-    `source` is the unique source component (or None): when every point is
-    legal, its points are those whose orbit union is the whole space.
-    """
-
-    __slots__ = ("cond", "reach_live", "legal", "chain_source", "source", "_trans1")
-
-    def __init__(self, G: FiniteRelation):
-        cond = self.cond = Condensation(G)
         reach_live: list[bool] = []
-        for c in range(cond.count):
-            reach_live.append(cond.live[c] or any(reach_live[d] for d in cond.dag_succ[c]))
+        reach_dead: list[bool] = []
+        for c, succ in enumerate(self.dag_succ):
+            reach_live.append(live[c] or any(reach_live[d] for d in succ))
+            reach_dead.append(not (live[c] or succ) or any(reach_dead[d] for d in succ))
         self.reach_live = reach_live
-        self.legal = frozenset(v for v, c in enumerate(cond.scc_of) if reach_live[c])
-        top = cond.count - 1
-        chain = all(c - 1 in cond.dag_succ[c] for c in range(1, cond.count))
-        self.chain_source = top if chain and cond.live[0] else None
-        self.source = top if len(set().union(*cond.dag_succ)) == top else None
+        self.reach_dead = reach_dead
+        self.legal = frozenset(v for v, c in enumerate(self.scc_of) if reach_live[c])
+        top = self.count - 1
+        chain = all(c - 1 in self.dag_succ[c] for c in range(1, self.count))
+        self.chain_source = top if chain and live[0] else None
+        self.source = top if len(set().union(*self.dag_succ)) == top else None
         self._trans1: frozenset | None = None
 
     def trans1(self, G: FiniteRelation) -> frozenset:
@@ -199,10 +198,10 @@ class _Analysis:
         return self._trans1
 
 
-def _analysis(G: FiniteRelation) -> _Analysis:
-    """G's analysis, built on first use and kept on G."""
+def _analysis(G: FiniteRelation) -> Condensation:
+    """G's condensation, built on first use and kept on G."""
     if G._analysis is None:
-        G._analysis = _Analysis(G)
+        G._analysis = Condensation(G)
     return G._analysis
 
 
@@ -219,7 +218,7 @@ def _infinite_starts(G: FiniteRelation, keep: frozenset) -> set[int]:
     return {v for v, d in outdeg.items() if d}
 
 
-def _every_walk_visits_all(G: FiniteRelation, a: _Analysis) -> frozenset:
+def _every_walk_visits_all(G: FiniteRelation, cond: Condensation) -> frozenset:
     """The type-1 rule on the chain of components k, k - 1, ..., 0: a subset of k.
 
     A walk could rest in a live component or jump one, so components k ... 1
@@ -228,8 +227,7 @@ def _every_walk_visits_all(G: FiniteRelation, a: _Analysis) -> frozenset:
     start when k = 0); for each u in the sink, no entry point but u may start
     an infinite walk avoiding u.  One peeling pass per u decides it.
     """
-    cond = a.cond
-    if a.chain_source is None or any(
+    if cond.chain_source is None or any(
         cond.live[c] or cond.dag_succ[c] != {c - 1} for c in range(1, cond.count)
     ):
         return frozenset()
@@ -302,8 +300,8 @@ def orbit_union(G: FiniteRelation, x: int) -> frozenset:
     """
     if not 0 <= x < G.space.size:
         raise ValueError("point outside the space")
-    a = _analysis(G)
-    cond, live = a.cond, a.reach_live
+    cond = _analysis(G)
+    live = cond.reach_live
     todo = [c for c in (cond.scc_of[x],) if live[c]]
     seen = set(todo)
     while todo:
@@ -327,14 +325,13 @@ def _density(G: FiniteRelation, dense: DensityPredicate | None) -> DensityPredic
 
 
 def _trans2_bounded(
-    G: FiniteRelation, x: int, dense: DensityPredicate, a: _Analysis, budget: int
+    G: FiniteRelation, x: int, dense: DensityPredicate, cond: Condensation, budget: int
 ) -> bool | None:
     """Search condensation paths for a dense member union ending live-reachable.
 
     x is legal and its orbit union is dense, so the search starts at once.
     Returns True/False when decided, None when the budget ran out.
     """
-    cond, reach_live = a.cond, a.reach_live
     seen = 0
     stack: list[tuple[int, frozenset]] = [(cond.scc_of[x], frozenset())]
     while stack:
@@ -343,7 +340,7 @@ def _trans2_bounded(
         if seen > budget:
             return None
         union = union_before | cond.members[comp]
-        if reach_live[comp] and dense.dense(union):
+        if cond.reach_live[comp] and dense.dense(union):
             return True
         for nxt in sorted(cond.dag_succ[comp], reverse=True):
             stack.append((nxt, union))
@@ -377,7 +374,7 @@ def _trans1_bounded(
 
 
 def _dense_walks(
-    G: FiniteRelation, a: _Analysis, x: int, dense: DensityPredicate, search_budget: int
+    G: FiniteRelation, a: Condensation, x: int, dense: DensityPredicate, search_budget: int
 ) -> tuple[bool | None, bool | None]:
     """(some infinite walk from x is dense, every one is) for a legal x with a
     dense orbit union; None where a bounded search ran out of budget.
@@ -386,7 +383,7 @@ def _dense_walks(
     every walk is dense, and x is legal, so some walk is dense as well.
     """
     if isinstance(dense, Exhaustive):
-        some = a.cond.scc_of[x] == a.chain_source
+        some = a.scc_of[x] == a.chain_source
         return some, some and x in a.trans1(G)
     some = _trans2_bounded(G, x, dense, a, search_budget)
     if some is False:
@@ -398,7 +395,7 @@ def _dense_walks(
 def _tagger(
     G: FiniteRelation, dense: DensityPredicate | None, search_budget: int
 ) -> Callable[[int], ClassificationTag]:
-    """The per-point tagging, read from G's analysis."""
+    """The per-point tagging, read from G's condensation."""
     dense = _density(G, dense)
     a = _analysis(G)
     exhaustive = isinstance(dense, Exhaustive)
@@ -408,7 +405,7 @@ def _tagger(
         if x not in a.legal:
             return ClassificationTag(Verdict.ILLEGAL)
         if exhaustive:
-            cover_dense = all_legal and a.cond.scc_of[x] == a.source
+            cover_dense = all_legal and a.scc_of[x] == a.source
         else:
             cover_dense = dense.dense(orbit_union(G, x))
         if not cover_dense:
@@ -450,7 +447,7 @@ def classify_all(
     dense: DensityPredicate | None = None,
     search_budget: int = 20000,
 ) -> list[ClassificationTag]:
-    """classify_point for every point in index order, from one analysis of G."""
+    """classify_point for every point in index order, from one condensation of G."""
     tag = _tagger(G, dense, search_budget)
     return [tag(x) for x in range(G.space.size)]
 
@@ -616,10 +613,12 @@ def _touring_walk(G: FiniteRelation, x: int, comp_path: list[int], cond: Condens
     component, lexicographic tie-breaks throughout.
     """
     walk = [x]
-    truncated = False
 
-    def steps_left() -> int:
-        return horizon - (len(walk) - 1)
+    def cut_short(seg: list[int]) -> bool:
+        """Extend the walk by seg, up to the horizon; True when seg did not fit."""
+        left = horizon - (len(walk) - 1)
+        walk.extend(seg[:left])
+        return len(seg) > left
 
     for idx, comp in enumerate(comp_path):
         allowed = cond.members[comp]
@@ -627,13 +626,9 @@ def _touring_walk(G: FiniteRelation, x: int, comp_path: list[int], cond: Condens
         while pending:
             # walk[-1] is a member, and the members of a component reach each other
             seg = _bfs_path(G, walk[-1], frozenset(pending), allowed)[1:]
-            if len(seg) > steps_left():
-                truncated = True
-                seg = seg[: steps_left()]
-            walk.extend(seg)
-            pending -= set(seg)
-            if truncated:
+            if cut_short(seg):
                 return walk, True
+            pending -= set(seg)
         if idx + 1 < len(comp_path):
             nxt_comp = comp_path[idx + 1]
             crossings = sorted(
@@ -644,12 +639,7 @@ def _touring_walk(G: FiniteRelation, x: int, comp_path: list[int], cond: Condens
             a, b = crossings[0]
             seg = _bfs_path(G, walk[-1], frozenset([a]), cond.members[comp])
             assert seg is not None, "source of a crossing edge lies in the same component"
-            seg = seg[1:] + [b]
-            if len(seg) > steps_left():
-                truncated = True
-                seg = seg[: steps_left()]
-            walk.extend(seg)
-            if truncated:
+            if cut_short(seg[1:] + [b]):
                 return walk, True
     return walk, False
 
@@ -729,10 +719,11 @@ def minimal_dense_branch_cover(
     small; greedy upper bound otherwise, flagged UNKNOWN_AT_HORIZON unless it
     matches the structural lower bound.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     dense = _density(G, dense)
-    a = _analysis(G)
-    cond = a.cond
-    if x not in a.legal:
+    cond = _analysis(G)
+    if x not in cond.legal:
         raise IllegalPointError(f"point {x} is illegal; branch covers need a legal start")
     start = cond.scc_of[x]
 

@@ -51,9 +51,10 @@ class FiniteSpace:
 class FiniteRelation:
     """A non-empty set of directed edges over a finite space.
 
-    `_analysis` holds the relation's condensation analysis once
-    `crdyn.classify` has built it; a relation never changes, so the analysis
-    never goes stale, and it takes no part in equality, hashing or repr.
+    `_analysis` holds the relation's one `crdyn.classify.Condensation` (its
+    components and DAG, legal set and dead-end reach) once `crdyn.classify`
+    has built it; a relation never changes, so it never goes stale, and it
+    takes no part in equality, hashing or repr.
     """
 
     __slots__ = ("space", "edges", "_succ", "_pred", "_analysis")

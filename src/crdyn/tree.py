@@ -93,13 +93,7 @@ def _finite_branch_stats(
     G: FiniteRelation, x: int, cond: Condensation, reached: frozenset
 ) -> tuple[int | None, int | None]:
     """(number, max length) of walks from x ending at successor-free points; reached is x's reach."""
-    # components from which some walk reaches a successor-free point; Tarjan
-    # order puts every successor component first
-    ends: list[bool] = []
-    for c in range(cond.count):
-        dead = not cond.live[c] and not cond.dag_succ[c]
-        ends.append(dead or any(ends[d] for d in cond.dag_succ[c]))
-    relevant = frozenset(v for v in reached if ends[cond.scc_of[v]])
+    relevant = frozenset(v for v in reached if cond.reach_dead[cond.scc_of[v]])
     if not relevant:
         return 0, None
     # a cycle on the way to a dead end makes the walk family unbounded
@@ -120,7 +114,7 @@ def tree_height(G: FiniteRelation, x: int) -> int | None:
     a = _analysis(G)
     if x in a.legal:
         return None
-    _, longest = _finite_branch_stats(G, x, a.cond, reach(G, x))
+    _, longest = _finite_branch_stats(G, x, a, reach(G, x))
     return longest or 0
 
 
@@ -142,7 +136,7 @@ def branch_summary(
     is_legal = x in a.legal
     reached = reach(G, x)
     cover = reached & a.legal
-    count, max_len = _finite_branch_stats(G, x, a.cond, reached)
+    count, max_len = _finite_branch_stats(G, x, a, reached)
     cover_dense = bool(cover) and dense.dense(cover)
     some_dense, all_dense = (
         _dense_walks(G, a, x, dense, search_budget) if is_legal and cover_dense else (False, False)

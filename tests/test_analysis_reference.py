@@ -35,7 +35,7 @@ from crdyn.finite import FiniteRelation
 from crdyn.io import parse_document
 from crdyn.region import Space1D
 from crdyn.symbolic import discretize
-from crdyn.tree import BranchSummary, _finite_branch_stats, branch_summary
+from crdyn.tree import BranchSummary, branch_summary
 from test_fold_reference import (
     DATA,
     box_documents,
@@ -43,6 +43,7 @@ from test_fold_reference import (
     path,
     random_graph,
     ref_can_reach_live,
+    ref_finite_branch_stats,
     ref_trans1_bounded,
     ref_trans1_exhaustive,
     ref_trans2_bounded,
@@ -98,9 +99,8 @@ def ref_branch_summary(G, x, dense=None, search_budget=20000):
     cond = Condensation(G)
     legal = ref_legal(cond)
     is_legal = x in legal
-    reached = reach(G, x)
-    cover = reached & legal
-    count, max_len = _finite_branch_stats(G, x, cond, reached)
+    cover = reach(G, x) & legal
+    count, max_len = ref_finite_branch_stats(G, x)
     cover_dense = bool(cover) and dense.dense(cover)
     if not is_legal:
         some_dense = all_dense = False

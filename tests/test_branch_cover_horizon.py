@@ -123,6 +123,16 @@ def test_truncated_walks_that_cover_nothing_stay_unknown():
     assert (res.size, res.certainty) == (None, Certainty.UNKNOWN_AT_HORIZON)
 
 
+@pytest.mark.parametrize("max_paths", [4096, 0])
+def test_a_negative_horizon_is_refused(max_paths):
+    # a one-point loop once answered size 1 with the 0-step walk (0,), certified
+    loop = rel(["0"], [(0, 0)])
+    for horizon in (-1, -5):
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            minimal_dense_branch_cover(loop, 0, horizon=horizon, max_paths=max_paths)
+    assert minimal_dense_branch_cover(loop, 0, horizon=0, max_paths=max_paths).size == 1
+
+
 def test_too_many_orbit_candidates_are_refused():
     with pytest.raises(BudgetExceededError, match="too many distinct orbit candidates"):
         minimal_dense_branch_cover(HUB, 0, max_candidates=1)

@@ -158,7 +158,7 @@ class TestBranchSummary:
 
 class TestFunctionGraphTests:
     def test_points_outside_the_space_are_rejected(self):
-        for query in (unique_branch, unique_infinite_branch, tree_height):
+        for query in (unique_branch, unique_infinite_branch, tree_height, branch_summary):
             for x in (99, -1):
                 with pytest.raises(ValueError, match="outside the space"):
                     query(CYCLE3, x)
