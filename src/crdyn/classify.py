@@ -325,7 +325,7 @@ def _density(G: FiniteRelation, dense: DensityPredicate | None) -> DensityPredic
 
 
 def _trans2_bounded(
-    G: FiniteRelation, x: int, dense: DensityPredicate, cond: Condensation, budget: int
+    x: int, dense: DensityPredicate, cond: Condensation, budget: int
 ) -> bool | None:
     """Search condensation paths for a dense member union ending live-reachable.
 
@@ -385,7 +385,7 @@ def _dense_walks(
     if isinstance(dense, Exhaustive):
         some = a.scc_of[x] == a.chain_source
         return some, some and x in a.trans1(G)
-    some = _trans2_bounded(G, x, dense, a, search_budget)
+    some = _trans2_bounded(x, dense, a, search_budget)
     if some is False:
         return False, False
     every = _trans1_bounded(G, x, dense, search_budget)

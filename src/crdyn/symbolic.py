@@ -574,24 +574,36 @@ class WalkSearchResult:
 
 
 class _SearchFrame(_Frame):
-    """A walk search's frame, with its start `x`, choice `step` and eps-net test `cover`.
+    """One walk search query and its frame: start `x`, choice `step`, eps-net test `cover`.
 
-    D covers x, eps, the step and the space's component ends, and the depth
-    is the horizon.  Successors come from the memo of the table the search
+    The query is checked here, in this order: x is a point of the space,
+    horizon >= 0, eps > 0, and a given choice step > 0 (default eps/2).  D
+    covers x, eps, the step and the space's component ends, and the depth is
+    the `horizon`.  Successors come from the memo of the table the search
     reads (`_PrimitiveTable.choices`).
     """
 
-    __slots__ = ("x", "step", "cover")
+    __slots__ = ("x", "step", "cover", "horizon")
 
-    def __init__(self, R: SymbolicRelation, x: Fraction, eps: Fraction, step: Fraction, horizon: int):
+    def __init__(self, R: SymbolicRelation, x, eps, horizon: int, choice_step=None):
+        x = _as_fraction(x)
+        eps = _as_fraction(eps)
+        if not R.space.contains_point(x):
+            raise ValueError(f"{x} is not a point of the space")
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        step = _positive_step(choice_step) if choice_step is not None else eps / 2
         comps = R.space._components
         super().__init__(R, itertools.chain((x, eps, step), *comps), horizon)
         S = self.scale
-        self.x, self.step = _times(x, S), _times(step, S)
+        self.x, self.step, self.horizon = _times(x, S), _times(step, S), horizon
         self.cover = _CoverFrame(self.pieces(comps), _times(eps, S))
 
 
 _PRUNE = object()  # a visit verdict: drop this state and keep searching
+_BUDGET = 100000  # the walk and loop searches' default node budget
 
 
 def _descending(cover: OrbitCover, succs: list) -> list:
@@ -600,12 +612,11 @@ def _descending(cover: OrbitCover, succs: list) -> list:
 
 def _orbit_dfs(
     frame: _SearchFrame,
-    horizon: int,
     budget: int,
     visit: Callable[[tuple, frozenset, OrbitCover], object],
     order: Callable[[OrbitCover, list], list] = _descending,
     memo_first: bool = True,
-) -> tuple[str, tuple[Fraction, ...] | None, int]:
+) -> WalkSearchResult:
     """Memoised depth-first search over the sampled exact walks from the frame's x.
 
     A state is a walk and its orbit, kept as a frozenset for the memo key
@@ -613,13 +624,13 @@ def _orbit_dfs(
     frame's numbers.  The memo drops a state already reached with no more
     steps used, before visit when memo_first, else after it.  Each visit
     counts a node and returns None to go on, _PRUNE to drop the state, or a
-    witness walk to stop.  A survivor with steps left pushes its successors
-    in order(cover, successors), so the last is explored first.  Children
-    are built when popped, so siblings waiting on the stack share their
-    parent's walk, orbit and cover.
+    witness walk to stop.  A survivor with fewer steps used than the frame's
+    horizon pushes its successors in order(cover, successors), so the last
+    is explored first.  Children are built when popped, so siblings waiting
+    on the stack share their parent's walk, orbit and cover.
 
-    Returns (status, witness, nodes), the witness mapped back to Fractions;
-    status is "found", "exhausted", or "budget" (more than `budget` nodes).
+    The result's witness is mapped back to Fractions; its status is "found",
+    "exhausted", or "budget" (more than `budget` nodes).
     """
     best: dict[tuple, int] = {}
 
@@ -631,7 +642,7 @@ def _orbit_dfs(
         best[key] = used
         return False
 
-    choices, step = frame._table.choices, frame.step
+    choices, step, horizon = frame._table.choices, frame.step, frame.horizon
     nodes = 0
     stack = [((), frozenset(), OrbitCover._over(frame.cover), frame.x)]
     push = stack.append
@@ -645,38 +656,37 @@ def _orbit_dfs(
             continue
         nodes += 1
         if nodes > budget:
-            return "budget", None, nodes
+            return WalkSearchResult("budget", None, nodes)
         got = visit(walk, orbit, cover)
         if got is _PRUNE:
             continue
         if got is not None:
-            return "found", frame.exact(got), nodes
+            return WalkSearchResult("found", frame.exact(got), nodes)
         if not memo_first and stale(v, orbit, used):
             continue
         if used >= horizon:
             continue
         for w in order(cover, choices(v, step)):
             push((walk, orbit, cover, w))
-    return "exhausted", None, nodes
+    return WalkSearchResult("exhausted", None, nodes)
 
 
-def _checked_query(R: SymbolicRelation, x, eps, horizon: int) -> tuple[Fraction, Fraction]:
-    """(x, eps) as Fractions, once x is a point of the space, eps > 0 and horizon >= 0."""
-    x = _as_fraction(x)
-    eps = _as_fraction(eps)
-    if not R.space.contains_point(x):
-        raise ValueError(f"{x} is not a point of the space")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return x, eps
+def _dense_walk(walk, orbit, cover):
+    return walk if cover.dense() else None
 
 
-def _search_frame(R: SymbolicRelation, x, eps, horizon: int, choice_step) -> _SearchFrame:
-    x, eps = _checked_query(R, x, eps, horizon)
-    step = _positive_step(choice_step) if choice_step is not None else eps / 2
-    return _SearchFrame(R, x, eps, step, horizon)
+def _farthest_last(cover, succs):
+    # explore the farthest-from-covered successor first (LIFO: push last);
+    # ties go largest first, which a stable sort of the descending list keeps
+    pts = cover.points
+    return sorted(succs[::-1], key=lambda v: _distance(pts, pts, v))
+
+
+def _nondense_loop(walk, orbit, cover):
+    if cover.dense():
+        return _PRUNE  # orbits only grow; nothing non-dense lies beyond
+    # expanded walks never repeat a point, so a repeat is the last step
+    return walk if len(orbit) < len(walk) else None
 
 
 def bounded_walk_search(
@@ -685,7 +695,7 @@ def bounded_walk_search(
     eps,
     horizon: int,
     choice_step=None,
-    budget: int = 100000,
+    budget: int = _BUDGET,
 ) -> WalkSearchResult:
     """Search for an exact walk from x whose orbit is an eps-net of the space.
 
@@ -696,18 +706,8 @@ def bounded_walk_search(
     OrbitCover, so the density test and the gap-filling order cost O(log h)
     comparisons per node, plus an O(h) tuple copy.
     """
-    frame = _search_frame(R, x, eps, horizon, choice_step)
-
-    def visit(walk, orbit, cover):
-        return walk if cover.dense() else None
-
-    # explore the farthest-from-covered successor first (LIFO: push last);
-    # ties go largest first, which a stable sort of the descending list keeps
-    def farthest_last(cover, succs):
-        pts = cover.points
-        return sorted(succs[::-1], key=lambda v: _distance(pts, pts, v))
-
-    return WalkSearchResult(*_orbit_dfs(frame, horizon, budget, visit, farthest_last))
+    frame = _SearchFrame(R, x, eps, horizon, choice_step)
+    return _orbit_dfs(frame, budget, _dense_walk, _farthest_last)
 
 
 def nondense_loop_search(
@@ -716,7 +716,7 @@ def nondense_loop_search(
     eps,
     horizon: int,
     choice_step=None,
-    budget: int = 100000,
+    budget: int = _BUDGET,
 ) -> WalkSearchResult:
     """Search for a walk from x that revisits a point before its orbit is an eps-net.
 
@@ -726,15 +726,8 @@ def nondense_loop_search(
     bounded_walk_search, the orbit is an OrbitCover: O(log h) comparisons per
     node for the density test, plus an O(h) tuple copy.
     """
-    frame = _search_frame(R, x, eps, horizon, choice_step)
-
-    def visit(walk, orbit, cover):
-        if cover.dense():
-            return _PRUNE  # orbits only grow; nothing non-dense lies beyond
-        # expanded walks never repeat a point, so a repeat is the last step
-        return walk if len(orbit) < len(walk) else None
-
-    return WalkSearchResult(*_orbit_dfs(frame, horizon, budget, visit, memo_first=False))
+    frame = _SearchFrame(R, x, eps, horizon, choice_step)
+    return _orbit_dfs(frame, budget, _nondense_loop, memo_first=False)
 
 
 def sym_branch_cover(
@@ -754,7 +747,7 @@ def sym_branch_cover(
     The budget bounds both the nodes of the walk search and the density
     tests of the cover selection after it.
     """
-    frame = _search_frame(R, x, eps, horizon, choice_step)
+    frame = _SearchFrame(R, x, eps, horizon, choice_step)
     # every visited state contributes its orbit; a revisit with fewer steps
     # used gets re-explored, so walks achieving any maximal orbit survive the
     # pruning (a pruned prefix could be spliced with an earlier, shorter one)
@@ -766,11 +759,11 @@ def sym_branch_cover(
             achieved[orbit] = walk
         return None
 
-    status, _, _ = _orbit_dfs(frame, horizon, budget, visit)
-    if status == "budget":
+    if _orbit_dfs(frame, budget, visit).status == "budget":
         raise BudgetExceededError("walk family too large for branch cover search")
 
-    # drop dominated orbits, keep lexicographically least walk per orbit
+    # drop dominated orbits, keep lexicographically least walk per orbit;
+    # kept stays in walk order
     pairs = sorted(achieved.items(), key=lambda item: item[1])
     kept: list[tuple[frozenset, tuple]] = []
     for orbit, walk in pairs:
@@ -780,7 +773,6 @@ def sym_branch_cover(
         kept.append((orbit, walk))
     if len(kept) > max_candidates:
         raise BudgetExceededError("too many candidate walks for branch cover search")
-    kept.sort(key=lambda item: item[1])
     tests = itertools.count(1)
 
     def dense(orbit: frozenset) -> bool:
@@ -835,11 +827,11 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
     through legal, because a finite walk may end where no infinite walk goes
     on; they stay unknown unless R is total.
 
-    The images, the reach chain and its density tests run in the frame of
-    the walk searches, whose depth is the horizon, so they share its scaled
-    table with the searches that follow.
+    The query is checked once, by the one `_SearchFrame` of the tag, whose
+    depth is the horizon: the images, the reach chain, its density tests and
+    both walk searches run in it and share its scaled table.
     """
-    frame = _search_frame(R, x, eps, horizon, None)
+    frame = _SearchFrame(R, x, eps, horizon)
     unknown, refuted, certified = Certainty.UNKNOWN_AT_HORIZON, Certainty.REFUTED, Certainty.CERTIFIED
     start = Region1D._wrap(((frame.x, frame.x),))
     total = is_total(R)
@@ -855,8 +847,8 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
     grade = next((n for n in range(1, len(chain)) if covers(chain[n].pieces)), None)
     if grade is None and len(chain) >= 2 and chain[-1] == chain[-2]:
         return IntervalPointTag(legal, refuted, refuted, refuted, total=total)
-    walk = bounded_walk_search(R, x, eps, horizon)
-    loop = nondense_loop_search(R, x, eps, horizon)
+    walk = _orbit_dfs(frame, _BUDGET, _dense_walk, _farthest_last)
+    loop = _orbit_dfs(frame, _BUDGET, _nondense_loop, memo_first=False)
     # only on a total relation is every point legal and does every walk go
     # on: only there do a dense reach and a dense walk certify
     return IntervalPointTag(

@@ -103,6 +103,12 @@ class TestOracleAgreement:
         with pytest.raises(BudgetExceededError):
             oracle_classify(big, 0)
 
+    def test_points_outside_the_space_are_rejected(self):
+        for x in (3, -1):
+            for classify in (classify_point, oracle_classify):
+                with pytest.raises(ValueError, match="point outside the space"):
+                    classify(CYCLE3, x)
+
 
 class TestInvariantSuites:
     def test_chain_partition_and_walk_closure(self, rng):
@@ -310,6 +316,17 @@ class TestEpsNetClassification:
         tag = classify_point(G, 0, net, search_budget=1)
         assert tag.certainty is Certainty.UNKNOWN_AT_HORIZON
         assert tag.verdict is Verdict.TRANS3
+
+    def test_membership_below_an_unknown_verdict_is_unknown(self):
+        # the budget-1 tag says trans3, unknown at horizon: trans3 holds, and
+        # types 1 and 2 stay undecided rather than refuted
+        sp, cells = self._geometry()
+        G = rel(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 3)])
+        net = EpsNet(sp, cells, F(1, 4))
+        assert membership(G, 0, 3, net, search_budget=1) == (True, Certainty.CERTIFIED)
+        for level in (1, 2):
+            assert membership(G, 0, level, net, search_budget=1) == (None, Certainty.UNKNOWN_AT_HORIZON)
+        assert membership(G, 0, 1, net) == (True, Certainty.CERTIFIED)
 
     def test_lasso_search_settles_an_exhausted_dense_walk_search(self):
         # the dense-walk search runs out at these budgets, but the lasso

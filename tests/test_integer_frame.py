@@ -21,7 +21,7 @@ from crdyn.symbolic import (
     SymbolicRelation,
     _orbit_dfs,
     _PrimitiveTable,
-    _search_frame,
+    _SearchFrame,
     successor_choices,
 )
 from fraction_reference import assert_same_searches as assert_same
@@ -128,7 +128,7 @@ def test_ex4_runs_on_ints_at_d_times_q_to_the_horizon():
     ex4 = gallery.build("ex4").relation
     R = SymbolicRelation(ex4.space, ex4.primitives)  # a fresh table, holding no scale yet
     assert R._table.q == 32  # the slope 243/32
-    frame = _search_frame(R, F(1, 2), F(1, 16), 10, None)
+    frame = _SearchFrame(R, F(1, 2), F(1, 16), 10)
     assert R._table.denominator == 7776  # 2**5 * 3**5: every other value's denominator divides it
     assert frame.scale == 7776 * 32**10
     assert all(type(v) is int for row in frame._table.rows for v in row[:4])
@@ -142,7 +142,7 @@ def test_integer_slope_relations_run_on_ints():
     tent = SymbolicRelation(
         Space1D(intervals=[(0, 1)]), [Segment(0, 0, F(1, 2), 1), Segment(F(1, 2), 1, 1, 0)]
     )
-    frame = _search_frame(tent, F(1, 3), F(1, 32), 10, F(1, 10))
+    frame = _SearchFrame(tent, F(1, 3), F(1, 32), 10, F(1, 10))
     assert frame.scale == 480  # the lcm of 2 (the rows), 3, 32 and 10, at every depth since q = 1
     assert (frame.x, frame.step, frame.cover.eps) == (160, 48, 15)
     assert frame._table.rows == [(0, 240, 0, 480, 2, 1), (240, 480, 480, 0, -2, 1)]
@@ -153,19 +153,19 @@ def test_integer_slope_relations_run_on_ints():
     assert tent._table.scaled(7) == (7, tent._table.scaled(7)[1])
     # the surrogate points of exhura give a long common denominator, still exact
     R = gallery.build("exhura").relation
-    frame = _search_frame(R, F(1, 3), F(1, 32), 10, None)
+    frame = _SearchFrame(R, F(1, 3), F(1, 32), 10)
     assert frame.scale % R._table.denominator == 0 and frame.scale % 192 == 0
     assert all(type(v) is int for row in frame._table.rows for v in row[:4])
 
 
 def test_successor_lists_are_computed_once_and_never_changed():
     R = gallery.build("ex1").relation
-    frame = _search_frame(R, F(1, 2), F(1, 8), 6, None)
+    frame = _SearchFrame(R, F(1, 2), F(1, 8), 6)
     table = frame._table
     first = table.choices(frame.x, frame.step)
     assert table.choices(frame.x, frame.step) is first
     assert first == [v * frame.scale for v in successor_choices(R, F(1, 2), F(1, 16))]
-    _orbit_dfs(frame, 6, 2000, lambda walk, orbit, cover: None)
+    _orbit_dfs(frame, 2000, lambda walk, orbit, cover: None)
     assert table.choices(frame.x, frame.step) is first
     assert frame.step in table.memo
     lists = table.memo[frame.step]

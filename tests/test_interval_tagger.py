@@ -240,6 +240,26 @@ def test_ex1_tag_certifies_type2_with_a_walk_and_refutes_type1():
     assert tag.loop == nondense_loop_search(R, F(1, 2), F(1, 16), 60)
 
 
+@pytest.mark.parametrize("doc,x,searched", [
+    (None, F(1, 2), True),  # ex1: the tag runs both searches
+    (DIE, F(1, 2), False),  # the images die out at step 2
+    (DIE, F(1, 8), False),  # the reach stabilises below density
+])
+def test_one_search_frame_per_tag(monkeypatch, doc, x, searched):
+    R = gallery.build("ex1").relation if doc is None else parse_instance(doc)
+    built = []
+    init = symbolic._SearchFrame.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(symbolic._SearchFrame, "__init__", counted)
+    tag = classify_interval_point(R, x, F(1, 16), 30)
+    assert (tag.walk is not None, tag.loop is not None) == (searched, searched)
+    assert len(built) == 1
+
+
 def test_reach_grade_is_the_least_dense_step():
     R = gallery.build("ex1").relation
     for x in (F(0), F(1, 3)):

@@ -11,6 +11,7 @@ from crdyn.symbolic import (
     SinglePoint,
     SymbolicRelation,
     bounded_walk_search,
+    classify_interval_point,
     discretize,
     forward_union,
     grid_transitivity_check,
@@ -395,7 +396,7 @@ class TestNegativeHorizon:
 
 
 class TestSearchArguments:
-    """The three searches refuse a negative horizon and a step that is not positive."""
+    """The three searches refuse a bad start, horizon, eps or step, checked in that order."""
 
     SEARCHES = (bounded_walk_search, nondense_loop_search, sym_branch_cover)
 
@@ -420,6 +421,23 @@ class TestSearchArguments:
             for eps in (0, F(-1, 4)):
                 with pytest.raises(ValueError, match="eps must be positive"):
                     search(CROSS_MID, F(1, 2), eps, 5)
+
+    def test_the_query_is_checked_in_one_order(self):
+        # x, then horizon, then eps, then the choice step: each case breaks
+        # every check from its own on, and only the first may speak
+        cases = (
+            (F(2), -1, 0, 0, "is not a point of the space"),
+            (F(1, 2), -1, 0, 0, "horizon must be non-negative"),
+            (F(1, 2), 5, 0, 0, "eps must be positive"),
+            (F(1, 2), 5, F(1, 4), 0, "choice_step must be positive"),
+        )
+        for search in self.SEARCHES:
+            for x, horizon, eps, step, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    search(CROSS_MID, x, eps, horizon, choice_step=step)
+        for x, horizon, eps, _, message in cases[:3]:
+            with pytest.raises(ValueError, match=message):
+                classify_interval_point(CROSS_MID, x, eps, horizon)
 
     def test_horizon_zero_is_the_start_alone(self):
         assert bounded_walk_search(CROSS_MID, F(1, 2), 1, 0).witness == (F(1, 2),)

@@ -30,6 +30,14 @@ class TestBuildTree:
         tree = build_tree(CYCLE3, 0, 4)
         assert [sorted(lvl) for lvl in tree.levels] == [[0], [1], [2], [0], [1]]
 
+    def test_bad_roots_and_depths_are_rejected(self):
+        for root in (3, -1):
+            with pytest.raises(ValueError, match="root outside the space"):
+                build_tree(CYCLE3, root, 2)
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            build_tree(CYCLE3, 0, -1)
+        assert build_tree(CYCLE3, 0, 0).levels == (frozenset([0]),)
+
     def test_illegal_root_has_single_node(self):
         tree = build_tree(PAIR_LOOP, 1, 3)
         assert tree.node_count() == 1
