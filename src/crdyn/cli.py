@@ -20,6 +20,7 @@ from .classify import (
     BudgetExceededError,
     Certainty,
     IllegalPointError,
+    _SEARCH_BUDGET,
     characterization_suite,
     classify_all,
     classify_point,
@@ -132,7 +133,7 @@ def _cmd_classify(args) -> int:
             predicate = density.with_eps(eps) if args.eps else density
         else:
             predicate = Exhaustive(relation.space.size)
-        budget = max(horizon * 100, 20000)
+        budget = max(horizon * 100, _SEARCH_BUDGET)
         if args.point is not None:
             x = _finite_point(relation, args.point)
             rows = [(x, classify_point(relation, x, predicate, budget))]
@@ -218,7 +219,7 @@ def _cmd_transitive(args) -> int:
     if isinstance(relation, FiniteRelation):
         print(_header("transitive", file=args.file))
         report = characterization_suite(relation)
-        # statements 1 and 2 are system_transitive without and with plus
+        # statements 1 and 2 are transitivity and +transitivity
         print(f"{label}: {str(report.statements[1 if args.plus else 0]).lower()}")
         print("statements 1-8:", " ".join(str(s).lower() for s in report.statements))
         if not (report.group1_consistent and report.group2_consistent and report.inverse_invariant):

@@ -550,10 +550,7 @@ def _ff(y=F(2, 3), eps=F(1, 8), samples: int = 16) -> GalleryInstance:
 @register("tistile0")
 def _tistile0(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
     t0 = tent_surrogate()
-    space = Space1D(intervals=[(0, 1)], isolated=[2])
-    R = SymbolicRelation(
-        space, list(tent_map_graph()) + [SinglePoint(2, t0), SinglePoint(t0, 2)]
-    )
+    R = _tent_with_points([(2, t0), (t0, 2)], [2])
     inst = GalleryInstance(
         "tistile0",
         "tent map with a two-way bridge between the isolated point 2 and a "
@@ -571,8 +568,7 @@ def _tistile0(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
 @register("tistile")
 def _tistile(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
     x = tent_surrogate()
-    space = Space1D(intervals=[(0, 1)], isolated=[2])
-    R = SymbolicRelation(space, list(tent_map_graph()) + [SinglePoint(2, x)])
+    R = _tent_with_points([(2, x)], [2])
     inst = GalleryInstance(
         "tistile",
         "tent map plus a one-way feeder from the isolated point 2",
@@ -581,7 +577,7 @@ def _tistile(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
     )
     inst.expect("second projection misses the isolated point", lambda: (
         projections(R)[1] == Region1D.interval(0, 1)
-        and projections(R)[1] != space.region(),
+        and projections(R)[1] != R.space.region(),
         "nothing maps onto 2"))
     inst.expect("2 has an eps-dense walk", lambda: _found_row(
         bounded_walk_search(R, 2, eps, horizon)))
@@ -593,10 +589,7 @@ def _tistile(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
 @register("exxi")
 def _exxi(delta=F(1, 32), grid_horizon: int = 64, union_horizon: int = 300) -> GalleryInstance:
     x = tent_surrogate()
-    space = Space1D(intervals=[(0, 1)], isolated=[2])
-    R = SymbolicRelation(
-        space, list(tent_map_graph()) + [SinglePoint(2, x), SinglePoint(0, 2)]
-    )
+    R = _tent_with_points([(2, x), (0, 2)], [2])
     inst = GalleryInstance(
         "exxi",
         "tent map with a loop through the isolated point: 0 -> 2 -> (dense-prefix point)",
@@ -623,12 +616,12 @@ def _exxi(delta=F(1, 32), grid_horizon: int = 64, union_horizon: int = 300) -> G
     def _union_rows():
         union = forward_union(R, Region1D.point(2), union_horizon, include_start=False)
         inside = not union.contains_point(2)
-        sparse = not eps_dense(space, union, delta)
+        sparse = not eps_dense(R.space, union, delta)
         return inside and sparse, "orbit never returns to 2, so the union misses it"
 
     inst.expect("forward union from {2} (n>=1) misses 2 and is not dense", _union_rows)
     inst.expect("forward union from {2} (n>=0) is delta-dense", lambda: (
-        eps_dense(space, forward_union(R, Region1D.point(2), grid_horizon, True), delta),
+        eps_dense(R.space, forward_union(R, Region1D.point(2), grid_horizon, True), delta),
         "the start point itself plus a dense prefix"))
     return inst
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Condensation, _analysis, _dense_walks, _density, orbit_union, reach
+from .classify import _SEARCH_BUDGET, Condensation, _analysis, _dense_walks, _density, orbit_union, reach
 from .density import DensityPredicate
 from .finite import FiniteRelation, image
 
@@ -122,7 +122,7 @@ def branch_summary(
     G: FiniteRelation,
     x: int,
     dense: DensityPredicate | None = None,
-    search_budget: int = 20000,
+    search_budget: int = _SEARCH_BUDGET,
 ) -> BranchSummary:
     """Branch-based restatement of the classification of x.
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -216,8 +217,8 @@ class TestSystemTransitivity:
             report = characterization_suite(G)
             assert report.group1_consistent
             assert report.group2_consistent
-            assert report.matches_transitive
-            assert report.matches_plus_transitive
+            assert report.statements[0] == system_transitive(G)
+            assert report.statements[1] == system_transitive(G, plus=True)
             assert report.inverse_invariant
 
     def test_plus_implies_transitive_and_inverse_invariance(self, rng):
@@ -402,6 +403,15 @@ class TestPredicateSizedForTheSpace:
             ):
                 with pytest.raises(ValueError, match="sized for"):
                     call()
+
+    def test_the_oracle_refuses_a_wrong_extent_count(self):
+        # misread, a 3-extent net makes a certified intransitive verdict for a
+        # on the 2-cycle, and a 1-extent net an IndexError
+        G = rel(["a", "b"], [(0, 1), (1, 0)])
+        for net in self._nets():
+            message = f"{net!r} is sized for {net.size} points, the space has 2"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                oracle_classify(G, 0, net)
 
     def test_matching_sizes_are_accepted(self):
         from crdyn.classify import classify_all
