@@ -18,6 +18,8 @@ from .symbolic import Segment, _window_image
 
 F = Fraction
 
+_PREFIX_ATTEMPTS = 64  # seeded candidates dense_prefix_point tries before giving up
+
 
 def tent_map_graph() -> list[Segment]:
     """Graph of the full tent map on [0,1]."""
@@ -179,7 +181,6 @@ def dense_prefix_point(
     eps,
     horizon: int,
     min_denominator_bits: int = 360,
-    attempts: int = 64,
     seed: int = 1,
 ) -> Fraction:
     """A dyadic point whose first `horizon` iterates hit every eps-cell of target.
@@ -222,7 +223,7 @@ def dense_prefix_point(
 
     bits = min_denominator_bits + horizon
 
-    for attempt in range(attempts):
+    for attempt in range(_PREFIX_ATTEMPTS):
         rng = _random.Random((seed << 16) + attempt)
         numerator = rng.getrandbits(bits) | 1
         z = lo + (hi - lo) * F(numerator, 2**bits)
@@ -277,5 +278,5 @@ def dense_prefix_point(
         if len(hit) == len(cells) and eps_dense(space, region, eps):
             return candidate
     raise BudgetExceededError(
-        f"no eps-dense prefix point found in {attempts} attempts"
+        f"no eps-dense prefix point found in {_PREFIX_ATTEMPTS} attempts"
     )

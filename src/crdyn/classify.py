@@ -26,6 +26,7 @@ from .finite import FiniteRelation, Walk, inverse_relation
 
 OMEGA = None  # sentinel accepted by reach() for the stabilized variant
 _SEARCH_BUDGET = 20000  # default state budget of the finite bounded searches
+_ORACLE_STATE_CAP = 500000  # (point, visited set) states the brute-force oracle may hold
 
 
 class BudgetExceededError(RuntimeError):
@@ -458,7 +459,6 @@ def oracle_classify(
     G: FiniteRelation,
     x: int,
     dense: DensityPredicate | None = None,
-    state_cap: int = 500000,
 ) -> ClassificationTag:
     """Brute-force classification via (point, visited set) states; |X| <= 16."""
     n = G.space.size
@@ -500,7 +500,7 @@ def oracle_classify(
         for w in G.successors(v):
             nxt = (w, S | {w})
             if nxt not in states:
-                if len(states) >= state_cap:
+                if len(states) >= _ORACLE_STATE_CAP:
                     raise BudgetExceededError("oracle state cap exceeded")
                 states.add(nxt)
                 queue.append(nxt)
@@ -822,14 +822,14 @@ def _positive_reach(G: FiniteRelation, u: int) -> frozenset:
     return frozenset(out)
 
 
-def system_transitive(G: FiniteRelation, plus: bool = False) -> bool:
+def system_transitive(G: FiniteRelation) -> bool:
     """Open-set transitivity on a finite discrete space: G has one strongly connected component.
 
-    Singletons generate the topology, so every point must reach every other;
-    the plus variant asks it for u = v too, and gives the same answer here:
-    with two or more points, each u reaches some v != u and back; the only
-    relation on one point is its loop.  `characterization_suite` is the
-    independent route, from the points' reaches.
+    Singletons generate the topology, so every point must reach every other.
+    The plus variant (every u reaches every v in one step or more, u = v
+    included) gives the same answer here: with two or more points, each u
+    reaches some v != u and back; the only relation on one point is its loop.
+    `characterization_suite` is the independent route, from the points' reaches.
     """
     return _analysis(G).count == 1
 

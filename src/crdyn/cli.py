@@ -301,6 +301,8 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
+    if args.action != "run" and args.name is not None:
+        raise _UsageError(f"gallery {args.action} takes no instance name")
     if args.action == "list":
         for name in gallery.names():
             inst = gallery.build(name)
@@ -309,10 +311,9 @@ def _cmd_gallery(args) -> int:
     if args.action == "run":
         if not args.name:
             raise _UsageError("gallery run needs an instance name")
-        try:
-            results = gallery.build(args.name).run()
-        except KeyError as exc:
-            raise _UsageError(str(exc)) from exc
+        if args.name not in gallery.names():
+            raise _UsageError(f"unknown gallery instance {args.name!r}; see crdyn gallery list")
+        results = gallery.build(args.name).run()
     else:
         results = gallery.run_all()
     for line in gallery.gallery_report_lines(results):

@@ -1,5 +1,10 @@
 """Worked instances with frozen expected classifications.
 
+Each instance is one fixed configuration: its builder takes no arguments,
+`build(name)` builds it once per process, and its `params` record the values
+(eps, horizons, surrogate points) its rows use; only ex32's builder keeps
+its truncation depth, for the row that compares depths.
+
 Each instance couples a relation with expectation rows.  A row states a
 checkable claim, runs it, and reports pass / fail / unknown-expected; the
 last status marks claims that are horizon- or surrogate-limited by design
@@ -13,10 +18,9 @@ points.
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .builders import (
@@ -108,7 +112,7 @@ class GalleryInstance:
         return serialize_instance(self.relation)
 
 
-_BUILDERS: dict[str, Callable[..., GalleryInstance]] = {}
+_BUILDERS: dict[str, Callable[[], GalleryInstance]] = {}
 
 
 def register(name: str):
@@ -123,26 +127,15 @@ def names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-@lru_cache(maxsize=None)
-def _cached_default(name: str) -> GalleryInstance:
+@lru_cache(maxsize=None)  # each instance is built once per process
+def build(name: str) -> GalleryInstance:
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown gallery instance {name!r}; see gallery.names()")
     return _BUILDERS[name]()
 
 
-def build(name: str, **params) -> GalleryInstance:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown gallery instance {name!r}; see gallery.names()")
-    if not params:
-        return _cached_default(name)
-    return _BUILDERS[name](**params)
-
-
-def run_all(pattern: str | None = None) -> list[ExpectationResult]:
-    out = []
-    for name in names():
-        if pattern and not fnmatch.fnmatch(name, pattern):
-            continue
-        out.extend(build(name).run())
-    return out
+def run_all() -> list[ExpectationResult]:
+    return [result for name in names() for result in build(name).run()]
 
 
 def gallery_report_lines(results: list[ExpectationResult]) -> list[str]:
@@ -180,32 +173,20 @@ def exhura_surrogates() -> tuple[Fraction, Fraction]:
 def ex31_surrogates() -> tuple[Fraction, Fraction]:
     """Half-tent points dense to 1/256 over 900 steps and to 1/32 within 298.
 
-    The coarse prefix condition makes the two-walk cover at horizon 300 hold;
-    the fine condition drives the reach-grade growth analysis.
+    Each half's point is the seed-1 dense_prefix_point; the coarse prefix
+    condition is checked here, and makes the two-walk cover at horizon 300
+    hold; the fine condition drives the reach-grade growth analysis.
     """
-    left_cells = [(F(k, 32), F(k + 1, 32)) for k in range(16)]
-    right_cells = [(F(16 + k, 32), F(17 + k, 32)) for k in range(16)]
 
-    def usable(segments, x, cells) -> bool:
+    def half_point(segments, half, cells: range) -> Fraction:
+        x = dense_prefix_point(segments, half, F(1, 256), 900, min_denominator_bits=1300, seed=1)
         orbit = forward_orbit(segments, x, 298)
-        return all(any(a < v < b for v in orbit) for a, b in cells)
+        if not all(any(F(k, 32) < v < F(k + 1, 32) for v in orbit) for k in cells):
+            raise RuntimeError("the half-tent surrogate misses a 1/32 cell within 298 steps")
+        return x
 
-    x1 = x2 = None
-    for seed in range(1, 40):
-        cand = dense_prefix_point(left_half_tent_graph(), (0, F(1, 2)), F(1, 256), 900,
-                                  min_denominator_bits=1300, seed=seed)
-        if usable(left_half_tent_graph(), cand, left_cells):
-            x1 = cand
-            break
-    for seed in range(1, 40):
-        cand = dense_prefix_point(right_half_tent_graph(), (F(1, 2), 1), F(1, 256), 900,
-                                  min_denominator_bits=1300, seed=seed)
-        if usable(right_half_tent_graph(), cand, right_cells):
-            x2 = cand
-            break
-    if x1 is None or x2 is None:
-        raise RuntimeError("no usable half-tent surrogate found")
-    return x1, x2
+    return (half_point(left_half_tent_graph(), (0, F(1, 2)), range(16)),
+            half_point(right_half_tent_graph(), (F(1, 2), 1), range(16, 32)))
 
 
 def _found_row(result) -> tuple[bool | str, str]:
@@ -258,7 +239,7 @@ def _fse1() -> GalleryInstance:
         all(classify_point(G, x).verdict is Verdict.TRANS1 for x in range(3)),
         "the unique walk visits all points"))
     inst.expect("system transitive and +transitive", lambda: (
-        system_transitive(G) and system_transitive(G, plus=True), ""))
+        system_transitive(G) and characterization_suite(G).statements[1], ""))
     inst.expect("all eight open-set statements hold", lambda: (
         all(characterization_suite(G).statements), f"{characterization_suite(G).statements}"))
     inst.expect("single walk covers the space", lambda: (
@@ -310,15 +291,10 @@ def _pair_sink() -> GalleryInstance:
     return inst
 
 
-def _ex32_zero_index(inst: GalleryInstance) -> int:
-    return inst.relation.space.index["0"]
-
-
 @lru_cache(maxsize=None)
 def _ex32_cover_size(depth: int) -> int:
-    inst = build("ex32", depth=depth)
-    zero = _ex32_zero_index(inst)
-    size = minimal_dense_branch_cover(inst.relation, zero).size
+    G = _ex32(depth).relation
+    size = minimal_dense_branch_cover(G, G.space.index["0"]).size
     assert size is not None
     return size
 
@@ -380,7 +356,8 @@ def _ex32(depth: int = 6) -> GalleryInstance:
 
 
 @register("ex1")
-def _ex1(eps=F(1, 64), horizon: int = 200) -> GalleryInstance:
+def _ex1() -> GalleryInstance:
+    eps, horizon = F(1, 64), 200
     R = SymbolicRelation(UNIT, [Segment(0, F(1, 2), 1, F(1, 2)), Segment(F(1, 2), 0, F(1, 2), 1)])
     inst = GalleryInstance(
         "ex1",
@@ -398,7 +375,8 @@ def _ex1(eps=F(1, 64), horizon: int = 200) -> GalleryInstance:
     return inst
 
 
-def _ex2_impl(name: str, eps, samples: int) -> GalleryInstance:
+def _ex2_impl(name: str) -> GalleryInstance:
+    eps, samples = F(1, 8), 32
     R = SymbolicRelation(UNIT, [Segment(0, 1, 1, 1), Segment(0, 0, 0, 1)])
     inst = GalleryInstance(
         name,
@@ -426,19 +404,14 @@ def _ex2_impl(name: str, eps, samples: int) -> GalleryInstance:
     return inst
 
 
-@register("ex2")
-def _ex2(eps=F(1, 8), samples: int = 32) -> GalleryInstance:
-    return _ex2_impl("ex2", eps, samples)
-
-
-@register("ex3")
-def _ex3(eps=F(1, 8), samples: int = 32) -> GalleryInstance:
-    # the same relation appears twice in the corpus under different studies
-    return _ex2_impl("ex3", eps, samples)
+register("ex2")(partial(_ex2_impl, "ex2"))
+# the same relation appears twice in the corpus under different studies
+register("ex3")(partial(_ex2_impl, "ex3"))
 
 
 @register("ex4")
-def _ex4(level: int = 5, eps=F(1, 64), horizon: int = 60) -> GalleryInstance:
+def _ex4() -> GalleryInstance:
+    level, eps, horizon = 5, F(1, 64), 60
     stages = cantor_stage_intervals(level)
     prims: list = [Segment(F(1, 2), a, F(1, 2), b) for a, b in stages]
     prims += cantor_staircase(level)
@@ -471,7 +444,8 @@ def _tent_with_points(extra_points: list[tuple], isolated: list) -> SymbolicRela
 
 
 @register("fse2")
-def _fse2(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
+def _fse2() -> GalleryInstance:
+    eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, 3), (3, x)], [2, 3])
     inst = GalleryInstance(
@@ -496,7 +470,8 @@ def _fse2(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
 
 
 @register("fse3")
-def _fse3(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
+def _fse3() -> GalleryInstance:
+    eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, 3), (3, 2), (3, x)], [2, 3])
     inst = GalleryInstance(
@@ -519,7 +494,8 @@ def _fse3(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
 
 
 @register("ff")
-def _ff(y=F(2, 3), eps=F(1, 8), samples: int = 16) -> GalleryInstance:
+def _ff() -> GalleryInstance:
+    y, eps, samples = F(2, 3), F(1, 8), 16
     space = Space1D(intervals=[(0, 1)], isolated=[2])
     R = SymbolicRelation(
         space,
@@ -548,7 +524,8 @@ def _ff(y=F(2, 3), eps=F(1, 8), samples: int = 16) -> GalleryInstance:
 
 
 @register("tistile0")
-def _tistile0(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
+def _tistile0() -> GalleryInstance:
+    eps, horizon = F(1, 32), 300
     t0 = tent_surrogate()
     R = _tent_with_points([(2, t0), (t0, 2)], [2])
     inst = GalleryInstance(
@@ -566,7 +543,8 @@ def _tistile0(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
 
 
 @register("tistile")
-def _tistile(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
+def _tistile() -> GalleryInstance:
+    eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, x)], [2])
     inst = GalleryInstance(
@@ -587,7 +565,8 @@ def _tistile(eps=F(1, 32), horizon: int = 300) -> GalleryInstance:
 
 
 @register("exxi")
-def _exxi(delta=F(1, 32), grid_horizon: int = 64, union_horizon: int = 300) -> GalleryInstance:
+def _exxi() -> GalleryInstance:
+    delta, grid_horizon, union_horizon = F(1, 32), 64, 300
     x = tent_surrogate()
     R = _tent_with_points([(2, x), (0, 2)], [2])
     inst = GalleryInstance(
@@ -627,13 +606,9 @@ def _exxi(delta=F(1, 32), grid_horizon: int = 64, union_horizon: int = 300) -> G
 
 
 @register("exhura")
-def _exhura(
-    eps=F(1, 32),
-    delta=F(1, 32),
-    grid_horizon: int = 64,
-    walk_horizon: int = 300,
-    walk_samples: int = 5,
-) -> GalleryInstance:
+def _exhura() -> GalleryInstance:
+    eps = delta = F(1, 32)
+    grid_horizon, walk_horizon, walk_samples = 64, 300, 5
     x1, x2 = exhura_surrogates()
     prims = list(left_half_tent_graph()) + list(right_half_tent_graph())
     prims += [SinglePoint(0, x2), SinglePoint(1, x1)]
@@ -675,7 +650,8 @@ def _exhura(
 
 
 @register("ex31")
-def _ex31(cover_eps=F(1, 32), cover_horizon: int = 300, max_iter: int = 1400) -> GalleryInstance:
+def _ex31() -> GalleryInstance:
+    cover_eps, cover_horizon, max_iter = F(1, 32), 300, 1400
     x1, x2 = ex31_surrogates()
     prims = list(left_half_tent_graph()) + list(right_half_tent_graph())
     prims += [SinglePoint(0, x1), SinglePoint(0, x2)]

@@ -162,6 +162,8 @@ def _parse_symbolic(space_doc: dict, rel_doc: dict) -> SymbolicRelation:
 
 
 def _parse_density(doc, relation) -> EpsNet:
+    if not isinstance(relation, FiniteRelation):
+        raise InvalidInstanceError("density: only a finite document carries a density block")
     if not isinstance(doc, dict):
         raise InvalidInstanceError("density: expected an object")
     _reject_unknown(doc, {"kind", "eps", "space", "extents"}, "density")
@@ -176,7 +178,7 @@ def _parse_density(doc, relation) -> EpsNet:
     extents_doc = doc.get("extents")
     if not isinstance(extents_doc, list):
         raise InvalidInstanceError("density.extents: expected a list")
-    if not isinstance(relation, FiniteRelation) or len(extents_doc) != relation.space.size:
+    if len(extents_doc) != relation.space.size:
         raise InvalidInstanceError("density.extents: must list one extent per point")
     extents = [_pair(p, f"density.extents[{i}]") for i, p in enumerate(extents_doc)]
     try:

@@ -205,7 +205,6 @@ class TestSystemTransitivity:
     def test_examples(self):
         assert not system_transitive(PAIR_SINK)
         assert system_transitive(CYCLE3)
-        assert system_transitive(CYCLE3, plus=True)
 
     def test_characterization_examples(self):
         assert characterization_suite(CYCLE3).statements == (True,) * 8
@@ -218,13 +217,13 @@ class TestSystemTransitivity:
             assert report.group1_consistent
             assert report.group2_consistent
             assert report.statements[0] == system_transitive(G)
-            assert report.statements[1] == system_transitive(G, plus=True)
+            assert report.statements[1] == system_transitive(G)
             assert report.inverse_invariant
 
     def test_plus_implies_transitive_and_inverse_invariance(self, rng):
         for _ in range(500):
             G = make_random_relation(rng)
-            if system_transitive(G, plus=True):
+            if characterization_suite(G).statements[1]:
                 assert system_transitive(G)
             assert system_transitive(G) == system_transitive(inverse_relation(G))
 

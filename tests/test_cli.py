@@ -311,9 +311,15 @@ class TestGallery:
         assert "0 fail" in out
 
     def test_run_unknown_name(self):
-        code, _, err = run_cli("gallery", "run", "zzz")
-        assert code == 2
-        assert "zzz" in err
+        code, out, err = run_cli("gallery", "run", "zzz")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown gallery instance 'zzz'; see crdyn gallery list\n"
+
+    @pytest.mark.parametrize("action", ["list", "run-all"])
+    def test_a_name_is_refused_outside_run(self, action):
+        code, out, err = run_cli("gallery", action, "fse1")
+        assert (code, out) == (2, "")
+        assert err == f"error: gallery {action} takes no instance name\n"
 
 
 class TestRoundTripAllGallery:

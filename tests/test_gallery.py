@@ -10,8 +10,8 @@ from crdyn.io import parse_instance, serialize_instance
 GOLDEN_RUN_ALL = Path(__file__).resolve().parent / "golden" / "gallery_run_all.txt"
 
 
-def rows_for(name, **params):
-    return {r.label: r for r in gallery.build(name, **params).run()}
+def rows_for(name):
+    return {r.label: r for r in gallery.build(name).run()}
 
 
 class TestRegistry:
@@ -47,7 +47,7 @@ class TestFiniteInstances:
         assert rows["system is not transitive"].status == "pass"
 
     def test_ex32_depth_parameter(self):
-        rows = rows_for("ex32", depth=3)
+        rows = {r.label: r for r in gallery._ex32(3).run()}
         assert rows["branch cover size is 5 at depth 3"].status == "pass"
 
 
@@ -84,10 +84,6 @@ class TestRunAll:
         assert any(r.status == "unknown-expected" for r in results)
         # the report, node counts included, is byte-identical to the checked-in one
         assert gallery.gallery_report_lines(results) == GOLDEN_RUN_ALL.read_text().splitlines()
-
-    def test_filter(self):
-        results = gallery.run_all("fse*")
-        assert {r.instance for r in results} == {"fse1", "fse2", "fse3"}
 
 
 class TestExport:

@@ -179,6 +179,17 @@ class TestDensityBlock:
         assert out == ""
         assert err.startswith("parse error: density.space") and len(err.splitlines()) == 1
 
+    def test_an_interval_document_carries_no_density_block(self, tmp_path, capsys):
+        doc = json.loads(EX1_DOC)
+        doc["density"] = _box_document()["density"]
+        message = "density: only a finite document carries a density block"
+        with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+            parse_document(json.dumps(doc))
+        path = tmp_path / "interval-density.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
 
 # ---------------------------------------------------------------------------
 # seeded mutation fuzzing

@@ -123,14 +123,13 @@ class TestSystemTransitive:
     def test_it_runs_no_reach_search(self, reach_calls):
         for G in RELATIONS:
             system_transitive(G)
-            system_transitive(G, plus=True)
         assert reach_calls == []
 
     def test_it_equals_the_loop_with_and_without_plus(self):
         for G in RELATIONS:
             plain = system_transitive(G)
             assert plain == ref_system_transitive(G), G
-            assert system_transitive(G, plus=True) == ref_system_transitive(G, plus=True) == plain, G
+            assert ref_system_transitive(G, plus=True) == plain, G
 
 
 class TestCharacterizationSuite:
