@@ -357,6 +357,9 @@ def _trans1_bounded(
 
     True means every infinite walk is dense (no refuting lasso exists);
     False means a refuting lasso was found; None means budget exhausted.
+    S is the vertex set of the walk that led to v, so v starts an infinite
+    walk inside S exactly when a successor of v lies in S: the step back
+    closes a cycle of that walk.
     """
     seen_states: set[tuple[int, frozenset]] = set()
     work: list[tuple[int, frozenset]] = [(x, frozenset([x]))]
@@ -369,7 +372,7 @@ def _trans1_bounded(
         seen_states.add((v, S))
         if dense.dense(S):
             continue  # extensions only grow S, density is monotone
-        if v in _infinite_starts(G, S):
+        if not S.isdisjoint(G.successors(v)):
             return False
         for w in G.successors(v):
             work.append((w, S | {w}))

@@ -305,8 +305,7 @@ def _cmd_gallery(args) -> int:
         raise _UsageError(f"gallery {args.action} takes no instance name")
     if args.action == "list":
         for name in gallery.names():
-            inst = gallery.build(name)
-            print(f"{name:14s} {inst.description}")
+            print(f"{name:14s} {gallery.describe(name)}")
         return 0
     if args.action == "run":
         if not args.name:

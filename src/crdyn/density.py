@@ -44,9 +44,12 @@ class EpsNet:
     n/D (D the lcm of their denominators; scaling keeps the order), and the
     extent ends are ranked once, so a density test merges the chosen extents
     as pairs of ranks and hands the merged pieces to the covering test on ints.
+    The answer for the whole index set is computed on the first such query
+    and kept: classifying the points of one relation asks one net about its
+    whole index set again and again, and only that repetition pays for it.
     """
 
-    __slots__ = ("space", "extents", "eps", "_frame", "_values", "_ranks")
+    __slots__ = ("space", "extents", "eps", "_frame", "_values", "_ranks", "_whole")
 
     def __init__(self, space: Space1D, extents: Sequence[Piece], eps):
         self.space = space
@@ -55,10 +58,11 @@ class EpsNet:
         if eps <= 0:
             raise ValueError("eps must be positive")
         pieces = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in self.extents]
+        whole = space.region()
         for lo, hi in pieces:
             if lo > hi:
                 raise ValueError(f"extent bounds out of order: [{lo},{hi}]")
-            if not space.contains_region(Region1D.interval(lo, hi)):
+            if not whole.contains_region(Region1D._wrap(((lo, hi),))):
                 raise ValueError(f"extent [{lo},{hi}] leaves the space")
         values = sorted({e for piece in pieces for e in piece})
         rank = {v: k for k, v in enumerate(values)}
@@ -69,6 +73,7 @@ class EpsNet:
         self._values = [_times(v, D) for v in values]
         ints = [(_times(lo, D), _times(hi, D)) for lo, hi in comps]
         self._frame = _CoverFrame(ints, _times(eps, D))
+        self._whole = None
 
     @property
     def size(self) -> int:
@@ -78,9 +83,17 @@ class EpsNet:
         return EpsNet(self.space, self.extents, eps)
 
     def dense(self, points: frozenset[int]) -> bool:
+        ranks = self._ranks
+        if len(points) == len(ranks) and points.issuperset(range(len(ranks))):
+            if self._whole is None:
+                self._whole = self._covers(ranks)
+            return self._whole
+        return self._covers(map(ranks.__getitem__, points))
+
+    def _covers(self, ranks) -> bool:
+        """Whether the extents with these rank pairs, merged, cover the space to within eps."""
         values = self._values
-        merged = _merge(sorted(map(self._ranks.__getitem__, points)))
-        return self._frame.covers([(values[lo], values[hi]) for lo, hi in merged])
+        return self._frame.covers([(values[lo], values[hi]) for lo, hi in _merge(sorted(ranks))])
 
     def __repr__(self) -> str:
         return f"EpsNet(eps={self.eps}, points={len(self.extents)})"

@@ -113,11 +113,14 @@ class GalleryInstance:
 
 
 _BUILDERS: dict[str, Callable[[], GalleryInstance]] = {}
+_DESCRIPTIONS: dict[str, str] = {}
 
 
-def register(name: str):
+def register(name: str, description: str):
+    """Register a builder; its description is kept here, so listing builds nothing."""
     def inner(fn):
         _BUILDERS[name] = fn
+        _DESCRIPTIONS[name] = description
         return fn
 
     return inner
@@ -125,6 +128,11 @@ def register(name: str):
 
 def names() -> list[str]:
     return sorted(_BUILDERS)
+
+
+def describe(name: str) -> str:
+    """The registered description of an instance; nothing is built."""
+    return _DESCRIPTIONS[name]
 
 
 @lru_cache(maxsize=None)  # each instance is built once per process
@@ -205,13 +213,13 @@ def _notfound_row(result) -> tuple[bool | str, str]:
 # finite instances
 
 
-@register("illegal-pair")
+@register("illegal-pair", "two points, a single self-loop: the loopless point has no infinite walk")
 def _illegal_pair() -> GalleryInstance:
     space = FiniteSpace(["1", "2"])
     G = FiniteRelation(space, [(0, 0)])
     inst = GalleryInstance(
         "illegal-pair",
-        "two points, a single self-loop: the loopless point has no infinite walk",
+        describe("illegal-pair"),
         G,
         {},
     )
@@ -228,11 +236,11 @@ def _illegal_pair() -> GalleryInstance:
     return inst
 
 
-@register("fse1")
+@register("fse1", "three-cycle: every point isolated and 2-transitive")
 def _fse1() -> GalleryInstance:
     space = FiniteSpace(["1", "2", "3"])
     G = FiniteRelation(space, [(0, 1), (1, 2), (2, 0)])
-    inst = GalleryInstance("fse1", "three-cycle: every point isolated and 2-transitive", G, {})
+    inst = GalleryInstance("fse1", describe("fse1"), G, {})
     inst.expect("type-2 points are all three", lambda: (
         trans_set(G, 2) == frozenset({0, 1, 2}), f"{sorted(trans_set(G, 2))}"))
     inst.expect("every point is type-1", lambda: (
@@ -249,13 +257,13 @@ def _fse1() -> GalleryInstance:
     return inst
 
 
-@register("dens")
+@register("dens", "isolated source feeding a sink loop: source type-1, sink intransitive")
 def _dens() -> GalleryInstance:
     space = FiniteSpace(["0", "1"])
     G = FiniteRelation(space, [(0, 1), (1, 1)])
     inst = GalleryInstance(
         "dens",
-        "isolated source feeding a sink loop: source type-1, sink intransitive",
+        describe("dens"),
         G,
         {},
     )
@@ -268,13 +276,14 @@ def _dens() -> GalleryInstance:
     return inst
 
 
-@register("pair-sink")
+@register("pair-sink",
+          "source into an absorbing loop: a 2-transitive point in a non-transitive system")
 def _pair_sink() -> GalleryInstance:
     space = FiniteSpace(["1", "2"])
     G = FiniteRelation(space, [(0, 1), (1, 1)])
     inst = GalleryInstance(
         "pair-sink",
-        "source into an absorbing loop: a 2-transitive point in a non-transitive system",
+        describe("pair-sink"),
         G,
         {},
     )
@@ -299,8 +308,13 @@ def _ex32_cover_size(depth: int) -> int:
     return size
 
 
-@register("ex32")
-def _ex32(depth: int = 6) -> GalleryInstance:
+_EX32_DEPTH = 6
+_EX32_ABOUT = ("self-loops everywhere, a hub fanning into stages, each stage fanning into "
+               "its private cluster (truncation depth {})")
+
+
+@register("ex32", _EX32_ABOUT.format(_EX32_DEPTH))
+def _ex32(depth: int = _EX32_DEPTH) -> GalleryInstance:
     if depth < 2:
         raise ValueError("depth must be at least 2")
     # stage values (2^k - 1) / 2^k, k = 0..depth+1; members of the space are
@@ -327,8 +341,7 @@ def _ex32(depth: int = 6) -> GalleryInstance:
     G = FiniteRelation(FiniteSpace(labels), set(edges))
     inst = GalleryInstance(
         "ex32",
-        "self-loops everywhere, a hub fanning into stages, each stage fanning into "
-        f"its private cluster (truncation depth {depth})",
+        _EX32_ABOUT.format(depth),
         G,
         {"depth": depth},
         note="finite truncation: the untruncated construction needs unboundedly "
@@ -355,13 +368,13 @@ def _ex32(depth: int = 6) -> GalleryInstance:
 # symbolic instances
 
 
-@register("ex1")
+@register("ex1", "horizontal line at 1/2 plus the vertical column above 1/2")
 def _ex1() -> GalleryInstance:
     eps, horizon = F(1, 64), 200
     R = SymbolicRelation(UNIT, [Segment(0, F(1, 2), 1, F(1, 2)), Segment(F(1, 2), 0, F(1, 2), 1)])
     inst = GalleryInstance(
         "ex1",
-        "horizontal line at 1/2 plus the vertical column above 1/2",
+        describe("ex1"),
         R,
         {"eps": eps, "horizon": horizon},
     )
@@ -380,7 +393,7 @@ def _ex2_impl(name: str) -> GalleryInstance:
     R = SymbolicRelation(UNIT, [Segment(0, 1, 1, 1), Segment(0, 0, 0, 1)])
     inst = GalleryInstance(
         name,
-        "everything maps to 1; the column above 0 maps 0 to everything",
+        describe(name),
         R,
         {"eps": eps, "samples": samples},
     )
@@ -404,12 +417,14 @@ def _ex2_impl(name: str) -> GalleryInstance:
     return inst
 
 
-register("ex2")(partial(_ex2_impl, "ex2"))
+_EX2_ABOUT = "everything maps to 1; the column above 0 maps 0 to everything"
+register("ex2", _EX2_ABOUT)(partial(_ex2_impl, "ex2"))
 # the same relation appears twice in the corpus under different studies
-register("ex3")(partial(_ex2_impl, "ex3"))
+register("ex3", _EX2_ABOUT)(partial(_ex2_impl, "ex3"))
 
 
-@register("ex4")
+@register("ex4", "column above 1/2 onto the level-5 middle-thirds stage, plus the matching "
+          "staircase approximation (no vertical line in the graph part)")
 def _ex4() -> GalleryInstance:
     level, eps, horizon = 5, F(1, 64), 60
     stages = cantor_stage_intervals(level)
@@ -418,8 +433,7 @@ def _ex4() -> GalleryInstance:
     R = SymbolicRelation(UNIT, prims)
     inst = GalleryInstance(
         "ex4",
-        f"column above 1/2 onto the level-{level} middle-thirds stage, plus the "
-        "matching staircase approximation (no vertical line in the graph part)",
+        describe("ex4"),
         R,
         {"level": level, "eps": eps, "horizon": horizon},
         note="the true middle-thirds set and staircase are approximated at a "
@@ -443,14 +457,14 @@ def _tent_with_points(extra_points: list[tuple], isolated: list) -> SymbolicRela
     return SymbolicRelation(space, prims)
 
 
-@register("fse2")
+@register("fse2", "tent map plus a feeder chain 2 -> 3 -> (dense-prefix point)")
 def _fse2() -> GalleryInstance:
     eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, 3), (3, x)], [2, 3])
     inst = GalleryInstance(
         "fse2",
-        "tent map plus a feeder chain 2 -> 3 -> (dense-prefix point)",
+        describe("fse2"),
         R,
         {"eps": eps, "horizon": horizon, "surrogate": x},
         note="surrogate-relative: the feeder head 2 has an eps-dense walk at "
@@ -469,14 +483,14 @@ def _fse2() -> GalleryInstance:
     return inst
 
 
-@register("fse3")
+@register("fse3", "tent map plus a 2 <-> 3 shuttle that can exit to a dense-prefix point")
 def _fse3() -> GalleryInstance:
     eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, 3), (3, 2), (3, x)], [2, 3])
     inst = GalleryInstance(
         "fse3",
-        "tent map plus a 2 <-> 3 shuttle that can exit to a dense-prefix point",
+        describe("fse3"),
         R,
         {"eps": eps, "horizon": horizon, "surrogate": x},
         note="surrogate-relative as in fse2; the shuttle makes both isolated "
@@ -493,7 +507,7 @@ def _fse3() -> GalleryInstance:
     return inst
 
 
-@register("ff")
+@register("ff", "column relation with an isolated satellite: 0 -> 2 -> y")
 def _ff() -> GalleryInstance:
     y, eps, samples = F(2, 3), F(1, 8), 16
     space = Space1D(intervals=[(0, 1)], isolated=[2])
@@ -503,7 +517,7 @@ def _ff() -> GalleryInstance:
     )
     inst = GalleryInstance(
         "ff",
-        "column relation with an isolated satellite: 0 -> 2 -> y",
+        describe("ff"),
         R,
         {"y": y, "eps": eps, "samples": samples},
     )
@@ -523,15 +537,15 @@ def _ff() -> GalleryInstance:
     return inst
 
 
-@register("tistile0")
+@register("tistile0", "tent map with a two-way bridge between the isolated point 2 and a "
+          "dense-prefix point")
 def _tistile0() -> GalleryInstance:
     eps, horizon = F(1, 32), 300
     t0 = tent_surrogate()
     R = _tent_with_points([(2, t0), (t0, 2)], [2])
     inst = GalleryInstance(
         "tistile0",
-        "tent map with a two-way bridge between the isolated point 2 and a "
-        "dense-prefix point",
+        describe("tistile0"),
         R,
         {"eps": eps, "horizon": horizon, "surrogate": t0},
     )
@@ -542,14 +556,14 @@ def _tistile0() -> GalleryInstance:
     return inst
 
 
-@register("tistile")
+@register("tistile", "tent map plus a one-way feeder from the isolated point 2")
 def _tistile() -> GalleryInstance:
     eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, x)], [2])
     inst = GalleryInstance(
         "tistile",
-        "tent map plus a one-way feeder from the isolated point 2",
+        describe("tistile"),
         R,
         {"eps": eps, "horizon": horizon, "surrogate": x},
     )
@@ -564,14 +578,14 @@ def _tistile() -> GalleryInstance:
     return inst
 
 
-@register("exxi")
+@register("exxi", "tent map with a loop through the isolated point: 0 -> 2 -> (dense-prefix point)")
 def _exxi() -> GalleryInstance:
     delta, grid_horizon, union_horizon = F(1, 32), 64, 300
     x = tent_surrogate()
     R = _tent_with_points([(2, x), (0, 2)], [2])
     inst = GalleryInstance(
         "exxi",
-        "tent map with a loop through the isolated point: 0 -> 2 -> (dense-prefix point)",
+        describe("exxi"),
         R,
         {"delta": delta, "grid_horizon": grid_horizon, "union_horizon": union_horizon},
         note="transitive in the n >= 0 sense but not in the n >= 1 sense: the "
@@ -605,7 +619,8 @@ def _exxi() -> GalleryInstance:
     return inst
 
 
-@register("exhura")
+@register("exhura", "two half-interval tents coupled only through their endpoints: 0 jumps right, "
+          "1 jumps left")
 def _exhura() -> GalleryInstance:
     eps = delta = F(1, 32)
     grid_horizon, walk_horizon, walk_samples = 64, 300, 5
@@ -615,8 +630,7 @@ def _exhura() -> GalleryInstance:
     R = SymbolicRelation(UNIT, prims)
     inst = GalleryInstance(
         "exhura",
-        "two half-interval tents coupled only through their endpoints: "
-        "0 jumps right, 1 jumps left",
+        describe("exhura"),
         R,
         {
             "eps": eps,
@@ -649,7 +663,8 @@ def _exhura() -> GalleryInstance:
     return inst
 
 
-@register("ex31")
+@register("ex31", "two half-interval tents fed from 0: the hub reaches everything but any single "
+          "walk stays in one half")
 def _ex31() -> GalleryInstance:
     cover_eps, cover_horizon, max_iter = F(1, 32), 300, 1400
     x1, x2 = ex31_surrogates()
@@ -659,8 +674,7 @@ def _ex31() -> GalleryInstance:
     eps_list = tuple(F(1, 2**k) for k in range(3, 9))
     inst = GalleryInstance(
         "ex31",
-        "two half-interval tents fed from 0: the hub reaches everything but any "
-        "single walk stays in one half",
+        describe("ex31"),
         R,
         {"cover_eps": cover_eps, "cover_horizon": cover_horizon, "x1": x1, "x2": x2,
          "eps_list": eps_list},

@@ -300,10 +300,15 @@ class TestOutputFiles:
 
 
 class TestGallery:
-    def test_list(self):
-        code, out, _ = run_cli("gallery", "list")
-        assert code == 0
-        assert "fse1" in out
+    def test_list(self, monkeypatch):
+        # each instance's own description, one line per name; listing builds none of them
+        want = "".join(f"{name:14s} {gallery.build(name).description}\n" for name in gallery.names())
+
+        def no_build(name):
+            raise AssertionError(f"gallery list built {name}")
+
+        monkeypatch.setattr(gallery, "build", no_build)
+        assert run_cli("gallery", "list") == (0, want, "")
 
     def test_run_single(self):
         code, out, _ = run_cli("gallery", "run", "fse1")

@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 from crdyn.builders import density_threshold_steps
 from crdyn.density import EpsNet
-from crdyn.region import OrbitCover, Region1D, Space1D, eps_dense
+from crdyn.region import OrbitCover, Region1D, Space1D, _CoverFrame, eps_dense
 
 # ---------------------------------------------------------------------------
 # references
@@ -267,6 +267,59 @@ def test_eps_net_on_unlike_denominators_matches_the_region_route():
             assert got.extents == tuple(extents)
         assert other.dense(frozenset(range(n))) == ref_net_dense(other, range(n))
     assert dense > 1000
+
+
+def whole_set_cover(net):
+    """The covering test of all of the net's extents, merged, on Fractions."""
+    return _CoverFrame(net.space._components, net.eps).covers(Region1D(net.extents).pieces)
+
+
+class CountedFrame:
+    def __init__(self, frame):
+        self.frame, self.calls = frame, 0
+
+    def covers(self, pieces):
+        self.calls += 1
+        return self.frame.covers(pieces)
+
+
+def test_eps_net_keeps_one_whole_set_answer():
+    # a net answers the whole index set once and keeps it: the kept answer is
+    # the covering test of all extents whether asked first or after other
+    # queries, and a with_eps net keeps its own
+    rng = random.Random(68)
+    seen, differ = set(), 0
+    for _ in range(300):
+        space = random_space(rng)
+        n = rng.randint(1, 12)
+        extents = random_extents(rng, space, n)
+        eps = random_eps(rng)
+        whole = frozenset(range(n))
+        first, later = EpsNet(space, extents, eps), EpsNet(space, extents, eps)
+        want = whole_set_cover(first)
+        assert first.dense(whole) == want
+        for _ in range(4):
+            points = frozenset(i for i in range(n) if rng.random() < 0.6)
+            assert later.dense(points) == ref_net_dense(later, points)
+        assert later.dense(frozenset(reversed(range(n)))) == want
+        for other_eps in (eps / 4, eps * 4):
+            other = first.with_eps(other_eps)
+            assert other.dense(whole) == whole_set_cover(other)
+            differ += other.dense(whole) != want
+        assert first.dense(whole) == later.dense(whole) == want
+        seen.add(want)
+    assert seen == {True, False} and differ > 20
+
+
+def test_eps_net_runs_the_whole_set_cover_once():
+    sp = Space1D(intervals=[(0, 1)])
+    for eps, want in ((F(1, 4), True), (F(1, 16), False)):
+        net = EpsNet(sp, [(0, F(1, 8)), (F(1, 2), F(5, 8)), (F(7, 8), 1)], eps)
+        net._frame = counted = CountedFrame(net._frame)
+        assert [net.dense(frozenset({0, 1, 2})) for _ in range(3)] == [want] * 3
+        assert counted.calls == 1
+        assert net.dense(frozenset({0, 2})) is False
+        assert counted.calls == 2
 
 
 def test_distance_to_matches_the_linear_scan():

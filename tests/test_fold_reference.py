@@ -9,6 +9,7 @@ tags, chains, grades, regions and reports, and the symbolic ones must make
 the same number of sym_image and region_difference_closure calls.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,6 +23,7 @@ from crdyn.classify import (
     ClassificationTag,
     Condensation,
     Verdict,
+    _trans1_bounded,
     classify_all,
     classify_point,
     oracle_classify,
@@ -231,6 +233,19 @@ def ref_trans1_bounded(G, x, dense, budget):
     return True
 
 
+def ref_trans1_states(G, x, dense):
+    """How many states the reference visits without a budget: one density test each."""
+    tested = []
+
+    class Counted:
+        def dense(self, points):
+            tested.append(points)
+            return dense.dense(points)
+
+    ref_trans1_bounded(G, x, Counted(), math.inf)
+    return len(tested)
+
+
 def ref_classify_point(G, x, dense=None, search_budget=20000):
     if dense is None:
         dense = Exhaustive(G.space.size)
@@ -408,6 +423,27 @@ class TestFiniteAgainstReference:
                     assert got == want, (budget, x)
                 else:
                     assert got == oracle_classify(G, x, net), (budget, x)
+
+    def test_lasso_search_at_every_budget(self):
+        # equal at every budget up to the reference's state count: the two
+        # searches give up at the same state, not only reach the same verdict
+        rng = random.Random(49)
+        cases = []
+        for name in box_documents():
+            G, net = parse_document((DATA / name).read_text(encoding="utf-8"))
+            cases += [(G, net), (G, net.with_eps(net.eps / 4))]
+        for _ in range(40):
+            n = rng.randint(6, 14)
+            G = random_graph(rng, n)
+            cases += [(G, unit_net(n, F(1, 2 * n))), (G, unit_net(n, F(1, 4)))]
+        verdicts = set()
+        for G, net in cases:
+            for x in range(G.space.size):
+                for budget in range(ref_trans1_states(G, x, net) + 1):
+                    want = ref_trans1_bounded(G, x, net, budget)
+                    assert _trans1_bounded(G, x, net, budget) == want, (G, net, x, budget)
+                    verdicts.add(want)
+        assert verdicts == {True, False, None}
 
     def test_reach_chain_and_grade(self):
         rng = random.Random(46)
