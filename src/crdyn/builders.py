@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .classify import BudgetExceededError
 from .region import OrbitCover, Region1D, Space1D, _as_fraction, eps_dense, grid_cells
-from .symbolic import Segment, _window_image
+from .symbolic import Segment, _meeting, _window_image
 
 F = Fraction
 
@@ -210,16 +210,9 @@ def dense_prefix_point(
             f"{len(cells)} cells cannot be hit by {horizon + 1} orbit points"
         )
     jump_depth = max(2, len(cells).bit_length() + 3)
-    width = (hi - lo) / len(cells)  # grid_cells cuts one interval evenly
-
-    def cell_of(v: Fraction) -> int:
-        i = int((v - lo) / width)
-        return min(max(i, 0), len(cells) - 1)
 
     def cell_hits(v: Fraction, unhit: set[int]) -> list[int]:
-        i = cell_of(v)
-        out = [j for j in (i - 1, i, i + 1) if j in unhit and cells[j][0] <= v <= cells[j][1]]
-        return out
+        return [j for j in _meeting(cells, v, v) if j in unhit]
 
     bits = min_denominator_bits + horizon
 
@@ -253,7 +246,7 @@ def dense_prefix_point(
                     unhit.discard(i)
                 continue
             # no fresh cell in reach: jump into the unhit cell farthest from here
-            here = cell_of(chain[-1])
+            here = _meeting(cells, chain[-1], chain[-1])[-1]
             far = max(unhit, key=lambda i: (abs(i - here), -i))
             path = _backward_path_into(segments, chain[-1], lo, hi, cells[far], jump_depth)
             if path is None or len(chain) - 1 + len(path) > horizon:
@@ -271,10 +264,7 @@ def dense_prefix_point(
         region = Region1D.from_points(orbit)
         hit = set()
         for v in orbit:
-            i = cell_of(v)
-            for j in (i - 1, i, i + 1):
-                if 0 <= j < len(cells) and cells[j][0] <= v <= cells[j][1]:
-                    hit.add(j)
+            hit.update(_meeting(cells, v, v))
         if len(hit) == len(cells) and eps_dense(space, region, eps):
             return candidate
     raise BudgetExceededError(

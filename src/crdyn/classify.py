@@ -111,8 +111,8 @@ class Condensation:
     points, and descending indices are a topological order.  When it is the
     only one (consecutive components adjacent) and the sink 0 is live, some
     walk visits every point, starting in `chain_source`, the top component.
-    `source` is the unique source component (or None): when every point is
-    legal, its points are those whose orbit union is the whole space.
+    `source` is the unique source component when every point is legal (else
+    None): its points are those whose orbit union is the whole space.
     """
 
     __slots__ = (
@@ -191,7 +191,8 @@ class Condensation:
         top = self.count - 1
         chain = all(c - 1 in self.dag_succ[c] for c in range(1, self.count))
         self.chain_source = top if chain and live[0] else None
-        self.source = top if len(set().union(*self.dag_succ)) == top else None
+        sole = len(set().union(*self.dag_succ)) == top and len(self.legal) == n
+        self.source = top if sole else None
         self._trans1: frozenset | None = None
 
     def trans1(self, G: FiniteRelation) -> frozenset:
@@ -379,56 +380,31 @@ def _trans1_bounded(
     return True
 
 
-def _dense_walks(
-    G: FiniteRelation, a: Condensation, x: int, dense: DensityPredicate, search_budget: int
-) -> tuple[bool | None, bool | None]:
-    """(some infinite walk from x is dense, every one is) for a legal x with a
-    dense orbit union; None where a bounded search ran out of budget.
+def _decide(
+    G: FiniteRelation, x: int, dense: DensityPredicate, search_budget: int
+) -> tuple[bool, bool | None, bool | None]:
+    """(x's orbit union is dense, some infinite walk from x is dense, every one
+    is), read from G's condensation; None where a bounded search ran out of
+    budget, and all False for an illegal x, whose orbit union is empty.
 
-    When the dense-walk search runs out, the lasso search may still show that
+    Under the exhaustive predicate the orbit union is the whole space exactly
+    in the source component of a relation whose points are all legal.  When
+    the dense-walk search runs out, the lasso search may still show that
     every walk is dense, and x is legal, so some walk is dense as well.
     """
+    a = _analysis(G)
     if isinstance(dense, Exhaustive):
+        if a.scc_of[x] != a.source:
+            return False, False, False
         some = a.scc_of[x] == a.chain_source
-        return some, some and x in a.trans1(G)
+        return True, some, some and x in a.trans1(G)
+    if x not in a.legal or not dense.dense(orbit_union(G, x)):
+        return False, False, False
     some = _trans2_bounded(x, dense, a, search_budget)
     if some is False:
-        return False, False
+        return True, False, False
     every = _trans1_bounded(G, x, dense, search_budget)
-    return (True if every else some), every
-
-
-def _tagger(
-    G: FiniteRelation, dense: DensityPredicate | None, search_budget: int
-) -> Callable[[int], ClassificationTag]:
-    """The per-point tagging, read from G's condensation."""
-    dense = _density(G, dense)
-    a = _analysis(G)
-    exhaustive = isinstance(dense, Exhaustive)
-    all_legal = len(a.legal) == G.space.size
-
-    def tag(x: int) -> ClassificationTag:
-        if x not in a.legal:
-            return ClassificationTag(Verdict.ILLEGAL)
-        if exhaustive:
-            cover_dense = all_legal and a.scc_of[x] == a.source
-        else:
-            cover_dense = dense.dense(orbit_union(G, x))
-        if not cover_dense:
-            return ClassificationTag(Verdict.INTRANSITIVE)
-        t2, t1 = _dense_walks(G, a, x, dense, search_budget)
-        unknown = {"certainty": Certainty.UNKNOWN_AT_HORIZON, "horizon": search_budget}
-        if t1:
-            return ClassificationTag(Verdict.TRANS1)
-        if t2:
-            return ClassificationTag(Verdict.TRANS2, **(unknown if t1 is None else {}))
-        if t2 is None:
-            return ClassificationTag(Verdict.TRANS3, **unknown)
-        grade = reach_grade(G, x, dense)
-        assert grade is not None, "reach stabilizes on finite spaces, so a dense omega-reach is dense at finite depth"
-        return ClassificationTag(Verdict.TRANS3, reach_grade=grade)
-
-    return tag
+    return True, (True if every else some), every
 
 
 def classify_point(
@@ -445,7 +421,22 @@ def classify_point(
     """
     if not 0 <= x < G.space.size:
         raise ValueError("point outside the space")
-    return _tagger(G, dense, search_budget)(x)
+    dense = _density(G, dense)
+    if x not in _analysis(G).legal:
+        return ClassificationTag(Verdict.ILLEGAL)
+    cover_dense, t2, t1 = _decide(G, x, dense, search_budget)
+    if not cover_dense:
+        return ClassificationTag(Verdict.INTRANSITIVE)
+    unknown = {"certainty": Certainty.UNKNOWN_AT_HORIZON, "horizon": search_budget}
+    if t1:
+        return ClassificationTag(Verdict.TRANS1)
+    if t2:
+        return ClassificationTag(Verdict.TRANS2, **(unknown if t1 is None else {}))
+    if t2 is None:
+        return ClassificationTag(Verdict.TRANS3, **unknown)
+    grade = reach_grade(G, x, dense)
+    assert grade is not None, "reach stabilizes on finite spaces, so a dense omega-reach is dense at finite depth"
+    return ClassificationTag(Verdict.TRANS3, reach_grade=grade)
 
 
 def classify_all(
@@ -453,9 +444,8 @@ def classify_all(
     dense: DensityPredicate | None = None,
     search_budget: int = _SEARCH_BUDGET,
 ) -> list[ClassificationTag]:
-    """classify_point for every point in index order, from one condensation of G."""
-    tag = _tagger(G, dense, search_budget)
-    return [tag(x) for x in range(G.space.size)]
+    """classify_point for every point in index order."""
+    return [classify_point(G, x, dense, search_budget) for x in range(G.space.size)]
 
 
 def oracle_classify(

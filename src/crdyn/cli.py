@@ -26,7 +26,6 @@ from .classify import (
     classify_point,
     reach_chain,
 )
-from .density import Exhaustive
 from .finite import FiniteRelation, InvalidInstanceError, mahavier_count, mahavier_enumerate
 from .io import parse_document, serialize_instance
 from .region import Region1D, format_fraction, parse_fraction
@@ -129,10 +128,7 @@ def _cmd_classify(args) -> int:
     eps, horizon = args.eps or DEFAULT_EPS, args.horizon
     header = _header("classify", file=args.file, eps=eps, horizon=horizon)
     if isinstance(relation, FiniteRelation):
-        if density is not None:
-            predicate = density.with_eps(eps) if args.eps else density
-        else:
-            predicate = Exhaustive(relation.space.size)
+        predicate = density.with_eps(eps) if density is not None and args.eps else density
         budget = max(horizon * 100, _SEARCH_BUDGET)
         if args.point is not None:
             x = _finite_point(relation, args.point)
@@ -367,8 +363,9 @@ def _parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mahavier", help="count or list fixed-length walks")
     m.add_argument("file")
     m.add_argument("--depth", type=_count(1), required=True)
-    m.add_argument("--count", action="store_true")
-    m.add_argument("--list", type=_count(0), default=None, metavar="K")
+    mode = m.add_mutually_exclusive_group()
+    mode.add_argument("--count", action="store_true")
+    mode.add_argument("--list", type=_count(0), default=None, metavar="K")
     m.set_defaults(fn=_cmd_mahavier)
 
     d = sub.add_parser("discretize", help="sound grid outer approximation")

@@ -20,6 +20,12 @@ class DensityPredicate(Protocol):
     def dense(self, points: frozenset[int]) -> bool: ...
 
 
+def _check_points(points: frozenset[int], size: int) -> None:
+    """Refuse a point set with an index outside range(size)."""
+    if points and (min(points) < 0 or max(points) >= size):
+        raise ValueError("point outside the space")
+
+
 class Exhaustive:
     """dense(S) holds exactly when S is the whole index range."""
 
@@ -31,6 +37,7 @@ class Exhaustive:
         self.size = size
 
     def dense(self, points: frozenset[int]) -> bool:
+        _check_points(points, self.size)
         return len(points) == self.size
 
     def __repr__(self) -> str:
@@ -88,6 +95,7 @@ class EpsNet:
             if self._whole is None:
                 self._whole = self._covers(ranks)
             return self._whole
+        _check_points(points, len(ranks))
         return self._covers(map(ranks.__getitem__, points))
 
     def _covers(self, ranks) -> bool:

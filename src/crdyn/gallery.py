@@ -80,9 +80,9 @@ class ExpectationResult:
 class GalleryInstance:
     """A named relation plus its expectation rows."""
 
-    def __init__(self, name: str, description: str, relation, params: dict, note: str = ""):
+    def __init__(self, name: str, relation, params: dict, note: str = ""):
         self.name = name
-        self.description = description
+        self.description = describe(name)
         self.relation = relation
         self.params = params
         self.note = note
@@ -217,12 +217,7 @@ def _notfound_row(result) -> tuple[bool | str, str]:
 def _illegal_pair() -> GalleryInstance:
     space = FiniteSpace(["1", "2"])
     G = FiniteRelation(space, [(0, 0)])
-    inst = GalleryInstance(
-        "illegal-pair",
-        describe("illegal-pair"),
-        G,
-        {},
-    )
+    inst = GalleryInstance("illegal-pair", G, {})
     inst.expect("illegal set is {2}", lambda: (
         illegal_set(G) == frozenset({1}), f"illegal={sorted(illegal_set(G))}"))
     inst.expect("legal set is {1}", lambda: (
@@ -240,7 +235,7 @@ def _illegal_pair() -> GalleryInstance:
 def _fse1() -> GalleryInstance:
     space = FiniteSpace(["1", "2", "3"])
     G = FiniteRelation(space, [(0, 1), (1, 2), (2, 0)])
-    inst = GalleryInstance("fse1", describe("fse1"), G, {})
+    inst = GalleryInstance("fse1", G, {})
     inst.expect("type-2 points are all three", lambda: (
         trans_set(G, 2) == frozenset({0, 1, 2}), f"{sorted(trans_set(G, 2))}"))
     inst.expect("every point is type-1", lambda: (
@@ -261,12 +256,7 @@ def _fse1() -> GalleryInstance:
 def _dens() -> GalleryInstance:
     space = FiniteSpace(["0", "1"])
     G = FiniteRelation(space, [(0, 1), (1, 1)])
-    inst = GalleryInstance(
-        "dens",
-        describe("dens"),
-        G,
-        {},
-    )
+    inst = GalleryInstance("dens", G, {})
     inst.expect("classify(0) = type-1", lambda: (
         classify_point(G, 0).verdict is Verdict.TRANS1, ""))
     inst.expect("classify(1) = intransitive", lambda: (
@@ -281,12 +271,7 @@ def _dens() -> GalleryInstance:
 def _pair_sink() -> GalleryInstance:
     space = FiniteSpace(["1", "2"])
     G = FiniteRelation(space, [(0, 1), (1, 1)])
-    inst = GalleryInstance(
-        "pair-sink",
-        describe("pair-sink"),
-        G,
-        {},
-    )
+    inst = GalleryInstance("pair-sink", G, {})
     inst.expect("type-2 points are exactly {1}", lambda: (
         trans_set(G, 2) == frozenset({0}), f"{sorted(trans_set(G, 2))}"))
     inst.expect("point 1 is in fact type-1", lambda: (
@@ -341,12 +326,12 @@ def _ex32(depth: int = _EX32_DEPTH) -> GalleryInstance:
     G = FiniteRelation(FiniteSpace(labels), set(edges))
     inst = GalleryInstance(
         "ex32",
-        _EX32_ABOUT.format(depth),
         G,
         {"depth": depth},
         note="finite truncation: the untruncated construction needs unboundedly "
         "many walks for a dense union, shadowed here by depth growth",
     )
+    inst.description = _EX32_ABOUT.format(depth)  # the registry holds the default depth's
     expected_cover = (depth - 1) * depth // 2 + 2
     inst.expect("hub is type-3 with reach grade 2", lambda: (
         classify_point(G, zero) == ClassificationTag(Verdict.TRANS3, reach_grade=2),
@@ -372,12 +357,7 @@ def _ex32(depth: int = _EX32_DEPTH) -> GalleryInstance:
 def _ex1() -> GalleryInstance:
     eps, horizon = F(1, 64), 200
     R = SymbolicRelation(UNIT, [Segment(0, F(1, 2), 1, F(1, 2)), Segment(F(1, 2), 0, F(1, 2), 1)])
-    inst = GalleryInstance(
-        "ex1",
-        describe("ex1"),
-        R,
-        {"eps": eps, "horizon": horizon},
-    )
+    inst = GalleryInstance("ex1", R, {"eps": eps, "horizon": horizon})
     inst.expect("both projections equal [0,1]", lambda: (
         projections(R) == (Region1D.interval(0, 1), Region1D.interval(0, 1)),
         "exact region equality"))
@@ -391,12 +371,7 @@ def _ex1() -> GalleryInstance:
 def _ex2_impl(name: str) -> GalleryInstance:
     eps, samples = F(1, 8), 32
     R = SymbolicRelation(UNIT, [Segment(0, 1, 1, 1), Segment(0, 0, 0, 1)])
-    inst = GalleryInstance(
-        name,
-        describe(name),
-        R,
-        {"eps": eps, "samples": samples},
-    )
+    inst = GalleryInstance(name, R, {"eps": eps, "samples": samples})
     inst.expect("one-step reach of 0 is all of [0,1] (grade 1)", lambda: (
         sym_reach(R, Region1D.point(0), 1)[0] == Region1D.interval(0, 1), "exact"))
     inst.expect("sampled points have two-point stabilized reach {y,1}", lambda: (
@@ -433,7 +408,6 @@ def _ex4() -> GalleryInstance:
     R = SymbolicRelation(UNIT, prims)
     inst = GalleryInstance(
         "ex4",
-        describe("ex4"),
         R,
         {"level": level, "eps": eps, "horizon": horizon},
         note="the true middle-thirds set and staircase are approximated at a "
@@ -464,7 +438,6 @@ def _fse2() -> GalleryInstance:
     R = _tent_with_points([(2, 3), (3, x)], [2, 3])
     inst = GalleryInstance(
         "fse2",
-        describe("fse2"),
         R,
         {"eps": eps, "horizon": horizon, "surrogate": x},
         note="surrogate-relative: the feeder head 2 has an eps-dense walk at "
@@ -490,7 +463,6 @@ def _fse3() -> GalleryInstance:
     R = _tent_with_points([(2, 3), (3, 2), (3, x)], [2, 3])
     inst = GalleryInstance(
         "fse3",
-        describe("fse3"),
         R,
         {"eps": eps, "horizon": horizon, "surrogate": x},
         note="surrogate-relative as in fse2; the shuttle makes both isolated "
@@ -515,12 +487,7 @@ def _ff() -> GalleryInstance:
         space,
         [Segment(0, 1, 1, 1), Segment(0, 0, 0, 1), SinglePoint(0, 2), SinglePoint(2, y)],
     )
-    inst = GalleryInstance(
-        "ff",
-        describe("ff"),
-        R,
-        {"y": y, "eps": eps, "samples": samples},
-    )
+    inst = GalleryInstance("ff", R, {"y": y, "eps": eps, "samples": samples})
     inst.expect("stabilized reach of 2 is {2, y, 1}", lambda: (
         sym_reach(R, Region1D.point(2), 8) == (Region1D.from_points([F(2), y, F(1)]), True),
         "exact"))
@@ -543,12 +510,7 @@ def _tistile0() -> GalleryInstance:
     eps, horizon = F(1, 32), 300
     t0 = tent_surrogate()
     R = _tent_with_points([(2, t0), (t0, 2)], [2])
-    inst = GalleryInstance(
-        "tistile0",
-        describe("tistile0"),
-        R,
-        {"eps": eps, "horizon": horizon, "surrogate": t0},
-    )
+    inst = GalleryInstance("tistile0", R, {"eps": eps, "horizon": horizon, "surrogate": t0})
     inst.expect("the bridge target has an eps-dense walk", lambda: _found_row(
         bounded_walk_search(R, t0, eps, horizon)))
     inst.expect("2 has an eps-dense walk", lambda: _found_row(
@@ -561,12 +523,7 @@ def _tistile() -> GalleryInstance:
     eps, horizon = F(1, 32), 300
     x = tent_surrogate()
     R = _tent_with_points([(2, x)], [2])
-    inst = GalleryInstance(
-        "tistile",
-        describe("tistile"),
-        R,
-        {"eps": eps, "horizon": horizon, "surrogate": x},
-    )
+    inst = GalleryInstance("tistile", R, {"eps": eps, "horizon": horizon, "surrogate": x})
     inst.expect("second projection misses the isolated point", lambda: (
         projections(R)[1] == Region1D.interval(0, 1)
         and projections(R)[1] != R.space.region(),
@@ -585,7 +542,6 @@ def _exxi() -> GalleryInstance:
     R = _tent_with_points([(2, x), (0, 2)], [2])
     inst = GalleryInstance(
         "exxi",
-        describe("exxi"),
         R,
         {"delta": delta, "grid_horizon": grid_horizon, "union_horizon": union_horizon},
         note="transitive in the n >= 0 sense but not in the n >= 1 sense: the "
@@ -630,7 +586,6 @@ def _exhura() -> GalleryInstance:
     R = SymbolicRelation(UNIT, prims)
     inst = GalleryInstance(
         "exhura",
-        describe("exhura"),
         R,
         {
             "eps": eps,
@@ -674,7 +629,6 @@ def _ex31() -> GalleryInstance:
     eps_list = tuple(F(1, 2**k) for k in range(3, 9))
     inst = GalleryInstance(
         "ex31",
-        describe("ex31"),
         R,
         {"cover_eps": cover_eps, "cover_horizon": cover_horizon, "x1": x1, "x2": x2,
          "eps_list": eps_list},

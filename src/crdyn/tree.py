@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import _SEARCH_BUDGET, Condensation, _analysis, _dense_walks, _density, orbit_union, reach
+from .classify import _SEARCH_BUDGET, Condensation, _analysis, _decide, _density, orbit_union, reach
 from .density import DensityPredicate
 from .finite import FiniteRelation, image
 
@@ -127,27 +127,23 @@ def branch_summary(
     """Branch-based restatement of the classification of x.
 
     The cover of infinite branches is the orbit union, x's reach inside the
-    legal set; the per-branch density booleans are the classify decisions,
-    so that one algorithm answers both views.  One reach BFS serves the
-    cover and the finite-branch counts.
+    legal set; the density booleans are the classify decision, so that one
+    routine answers both views.  One reach BFS serves the cover and the
+    finite-branch counts.
     """
     dense = _density(G, dense)
     a = _analysis(G)
     is_legal = x in a.legal
     reached = reach(G, x)
-    cover = reached & a.legal
     count, max_len = _finite_branch_stats(G, x, a, reached)
-    cover_dense = bool(cover) and dense.dense(cover)
-    some_dense, all_dense = (
-        _dense_walks(G, a, x, dense, search_budget) if is_legal and cover_dense else (False, False)
-    )
+    cover_dense, some_dense, all_dense = _decide(G, x, dense, search_budget)
     return BranchSummary(
         root=x,
         is_legal=is_legal,
         finite_branch_count=count,
         max_finite_branch_length=max_len,
         height=None if is_legal else (max_len or 0),
-        infinite_branch_cover=cover,
+        infinite_branch_cover=reached & a.legal,
         all_infinite_branches_dense=all_dense,
         exists_infinite_dense_branch=some_dense,
         cover_dense=cover_dense,

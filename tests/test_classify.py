@@ -8,6 +8,7 @@ from crdyn.classify import (
     BudgetExceededError,
     Certainty,
     ClassificationTag,
+    Condensation,
     IllegalPointError,
     Verdict,
     characterization_suite,
@@ -87,6 +88,30 @@ class TestClassifyExamples:
         tag = classify_point(G, 0)
         assert tag == ClassificationTag(Verdict.TRANS3, reach_grade=1)
 
+
+class TestCondensationSource:
+    @staticmethod
+    def check(G):
+        n = G.space.size
+        everything = frozenset(range(n))
+        cond = Condensation(G)
+        all_legal = legal_by_cycle_reach(G) == everything
+        for x in range(n):
+            assert (cond.scc_of[x] == cond.source) == (all_legal and reach(G, x) == everything)
+
+    def test_a_dead_end_leaves_no_source(self):
+        # a -> b, b -> b, a -> c: a reaches every point, but c has no successor
+        G = rel(["a", "b", "c"], [(0, 1), (1, 1), (0, 2)])
+        assert Condensation(G).source is None
+        self.check(G)
+
+    def test_source_on_random(self, rng):
+        sources = 0
+        for _ in range(400):
+            G = rng.choice([make_random_relation, make_random_function])(rng)
+            self.check(G)
+            sources += Condensation(G).source is not None
+        assert 50 < sources < 350
 
 class TestOracleAgreement:
     def test_oracle_examples(self):

@@ -148,6 +148,7 @@ class TestUsageErrors:
         ("discretize", "ex1", "--delta", "-1/4", "-o", "unused.json"),
         ("tree", "fse1"),
         (),
+        ("mahavier", "fse1", "--depth", "2", "--count", "--list", "3"),
     ])
     def test_exit_two_with_one_error_line(self, docs, argv):
         argv = tuple(docs.get(a, a) for a in argv)

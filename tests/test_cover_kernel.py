@@ -16,8 +16,10 @@ import heapq
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from crdyn.builders import density_threshold_steps
-from crdyn.density import EpsNet
+from crdyn.density import EpsNet, Exhaustive
 from crdyn.region import OrbitCover, Region1D, Space1D, _CoverFrame, eps_dense
 
 # ---------------------------------------------------------------------------
@@ -321,6 +323,20 @@ def test_eps_net_runs_the_whole_set_cover_once():
         assert net.dense(frozenset({0, 2})) is False
         assert counted.calls == 2
 
+
+def test_density_predicates_refuse_points_outside_the_space():
+    # unchecked, a negative index would wrap to the last extent and the
+    # exhaustive predicate would only compare sizes
+    net = EpsNet(Space1D(intervals=[(0, 1)]), [(0, F(1, 2)), (F(1, 2), 1)], F(1, 4))
+    for points in ({-1, 0}, {-2}, {5}, {0, 1, 2}):
+        with pytest.raises(ValueError, match="outside the space"):
+            net.dense(frozenset(points))
+    for points in ({7, 9}, {-1}, {0, 2}):
+        with pytest.raises(ValueError, match="outside the space"):
+            Exhaustive(2).dense(frozenset(points))
+    assert net.dense(frozenset({0, 1})) is True and net.dense(frozenset({0})) is False
+    assert Exhaustive(2).dense(frozenset({0, 1})) is True
+    assert Exhaustive(2).dense(frozenset()) is False and net.dense(frozenset()) is False
 
 def test_distance_to_matches_the_linear_scan():
     rng = random.Random(65)
