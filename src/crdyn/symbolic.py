@@ -261,10 +261,13 @@ class _Frame:
     table and successor memo of the searches.  The frame keeps the table in
     R's field `_table`, standing in for R where only the table is read, as
     in `sym_image`.  Ints map back to Fraction(n, S) through a memo, so an
-    end shared by many regions of one chase is reduced once.
+    end shared by many regions of one chase is reduced once.  Each chase
+    step (`advance`) is memoised too, so the chases of one query that meet a
+    state already stepped share its answer; a frame is built per query, and
+    neither memo outlives it.
     """
 
-    __slots__ = ("scale", "_table", "_fractions")
+    __slots__ = ("scale", "_table", "_fractions", "_steps")
 
     def __init__(self, R: SymbolicRelation, values: Iterable[Fraction], depth: int):
         table = R._table
@@ -272,6 +275,36 @@ class _Frame:
         D = math.lcm(*(v.denominator for v in values), table.denominator)
         self.scale, self._table = table.scaled(D * table.q**depth)
         self._fractions: dict[int, Fraction] = {}
+        self._steps: dict[tuple, list] = {}  # frontier pieces -> [(acc pieces, next state)]
+
+    def advance(self, acc: Region1D, frontier: Region1D) -> tuple[Region1D, Region1D] | None:
+        """The chase step from (acc, frontier): the next (acc, frontier), or None once stable.
+
+        Only the frontier (closure of the newly added part) is imaged, which
+        is exact because images distribute over unions; the step adds nothing
+        when the reach already holds the image.  Since (acc u img) minus acc
+        is img minus acc, the new frontier comes from the image alone, so a
+        step makes O(|img| log |acc|) comparisons, not O(|acc|^2).  Each
+        state's answer is kept for the life of the frame, keyed by the
+        frontier's pieces, with acc's pieces compared only when the frontier
+        matches: chases that meet a state already stepped in this frame
+        (several cells of one grid check, say) take its answer, so each
+        distinct state costs one sym_image and, when it grows, one
+        region_difference_closure.
+        """
+        held = self._steps.setdefault(frontier.pieces, [])
+        pieces = acc.pieces
+        for old, step in held:
+            if old == pieces:
+                return step
+        img = sym_image(self, frontier)
+        if acc.contains_region(img):
+            step = None
+        else:
+            new = region_difference_closure(img, acc)
+            step = acc.union(new), new
+        held.append((pieces, step))
+        return step
 
     def pieces(self, pieces: Sequence[tuple]) -> tuple[tuple[int, int], ...]:
         """Closed pieces (lo, hi) of the relation's numbers in the frame's ints."""
@@ -387,24 +420,15 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
 
 
 def _frontier_chase(frame: _Frame, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
-    """Yield (acc, frontier) after each step that grows the cumulative reach of start.
+    """Yield (acc, frontier) after each step (`_Frame.advance`) that grows the cumulative reach of start.
 
-    start and every region yielded are in the frame's numbers.  Only the
-    frontier (closure of the newly added part) is imaged each step, which is
-    exact because images distribute over unions.  The chase ends at the
-    first image that adds nothing; each step costs one sym_image and, when
-    it grows, one region_difference_closure.  Since (acc u img) minus acc is
-    img minus acc, the new frontier comes from the image alone, so a step
-    makes O(|img| log |acc|) comparisons, not O(|acc|^2).
+    start and every region yielded are in the frame's numbers.  The chase
+    ends at the first image that adds nothing.  One chase never repeats a
+    state, so only chases that share their frame share steps.
     """
-    acc = frontier = start
-    while True:
-        img = sym_image(frame, frontier)
-        if acc.contains_region(img):
-            return
-        frontier = region_difference_closure(img, acc)
-        acc = acc.union(frontier)
-        yield acc, frontier
+    advance, state = frame.advance, (start, start)
+    while (state := advance(*state)) is not None:
+        yield state
 
 
 def sym_reach(
@@ -457,7 +481,7 @@ def is_total(R: SymbolicRelation) -> bool:
 # discretization
 
 
-def _meeting(cells: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction) -> range:
+def _meeting(cells: list[tuple], lo, hi) -> range:
     """Indices of the sorted closed cells that meet the closed range [lo, hi]."""
     first = bisect.bisect_left(cells, lo, key=_HI)
     return range(first, bisect.bisect_right(cells, hi, first, key=_LO))
@@ -488,15 +512,28 @@ def discretize(
     Each row of the compiled table is swept column by column: over the cells
     its x-range meets, its exact y-range within the column picks the rows it
     meets, which is the closed segment-box test at O(cells + edges) per row.
-    The box count is checked against box_cap before any cell is built.
+    The box count is checked against box_cap before any cell is built.  The
+    cells and rows are scaled into a depth-one `_Frame` on the cell ends,
+    exact for the one image each window takes, so the sweep compares and
+    divides ints.
     """
     cells = _capped_cells(R.space, _as_fraction(delta), box_cap)
-    labels = [f"b{i}" for i in range(len(cells))]
+    frame = _Frame(R, itertools.chain(*cells), 1)
+    scaled = frame.pieces(cells)
     edges = set()
-    for row in R._table.rows:
-        for i in _meeting(cells, row[0], row[1]):
-            ylo, yhi = _window_image(row, *cells[i])
-            edges.update((i, j) for j in _meeting(cells, ylo, yhi))
+    for ax, bx, ay, by, num, den in frame._table.rows:
+        for i in _meeting(scaled, ax, bx):
+            if num is None:
+                ylo, yhi = ay, by
+            elif not num:
+                ylo = yhi = ay
+            else:
+                lo, hi = scaled[i]
+                yc = ay if lo <= ax else ay + (lo - ax) * num // den
+                yd = by if hi >= bx else ay + (hi - ax) * num // den
+                ylo, yhi = (yc, yd) if num > 0 else (yd, yc)
+            edges.update((i, j) for j in _meeting(scaled, ylo, yhi))
+    labels = [f"b{i}" for i in range(len(cells))]
     space = FiniteSpace(labels)
     finite = FiniteRelation(space, edges)
     predicate = EpsNet(R.space, cells, delta)
@@ -872,29 +909,21 @@ class GridTransitivityReport:
     cells: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _unmet(cells: list[tuple[Fraction, Fraction]], pending: list[int], region: Region1D) -> list[int]:
-    """The ascending pending cell indices that the region does not meet.
+def _met(cells: list[tuple[int, int]], region: Region1D) -> list[int]:
+    """The indices of the sorted cells that the region meets, once per piece that meets them.
 
     A proper cell is met when the region meets its open interior, a
-    degenerate one when the region contains its point.  One bisect pointer
-    moves forward over the region's pieces to the first that ends at or
-    after each cell's start.
+    degenerate one when the region contains its point.  One bisect per piece
+    finds the cells the closed piece meets (`_meeting`); of those, a proper
+    cell that only touches the piece at one of its ends is left out.
     """
-    pieces = region.pieces
-    left: list[int] = []
-    j = 0
-    for vi in pending:
-        vlo, vhi = cells[vi]
-        j = k = bisect.bisect_left(pieces, vlo, j, key=_HI)
-        if vlo < vhi:
-            if k < len(pieces) and pieces[k][1] == vlo:
-                k += 1  # touches the cell only at its closed end
-            met = k < len(pieces) and pieces[k][0] < vhi
-        else:
-            met = k < len(pieces) and pieces[k][0] <= vlo
-        if not met:
-            left.append(vi)
-    return left
+    met: list[int] = []
+    for lo, hi in region.pieces:
+        for i in _meeting(cells, lo, hi):
+            vlo, vhi = cells[i]
+            if vlo == vhi or (lo < vhi and hi > vlo):
+                met.append(i)
+    return met
 
 
 def grid_transitivity_check(
@@ -906,9 +935,10 @@ def grid_transitivity_check(
     met when the chain intersects the open cell interior, or contains the
     point for degenerate cells.  positive_only starts the chase at n = 1, so
     at horizon 0 it meets no cell.  The cells are scaled into one frame for
-    every chase, and the report gives them back as they were built.  The cost
-    grows with the square of the cell count, so more than `_BOX_CAP` cells
-    raise BudgetExceededError.
+    every chase, whose step memo (`_Frame.advance`) the chases share, and the
+    report gives them back as they were built.  The cost grows with the
+    square of the cell count, so more than `_BOX_CAP` cells raise
+    BudgetExceededError.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -922,15 +952,15 @@ def grid_transitivity_check(
         steps = 0
         if positive_only:
             start, steps = (sym_image(frame, start), 1) if horizon >= 1 else (Region1D.empty(), 0)
-        pending = _unmet(scaled, list(range(len(scaled))), start)
+        pending = set(range(len(scaled))).difference(_met(scaled, start))
         if pending:
             # a chase that stops early has stabilized: no new cell can be met
             chase = itertools.islice(_frontier_chase(frame, start), horizon - steps)
             for steps, (_, frontier) in enumerate(chase, steps + 1):
-                pending = _unmet(scaled, pending, frontier)
+                pending.difference_update(_met(scaled, frontier))
                 if not pending:
                     break
-        misses.extend((ui, vi) for vi in pending)
+        misses.extend((ui, vi) for vi in sorted(pending))
         max_steps = max(max_steps, steps)
     return GridTransitivityReport(
         transitive=not misses,

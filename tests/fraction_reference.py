@@ -4,9 +4,11 @@ Every number here is a Fraction, and nothing is scaled.  Successors come from
 `ref_successor_choices`, which asks every primitive about the window [p, p]
 on every call; images from `ref_sym_image`, which asks every primitive about
 every piece; the chases from `ref_frontier_chase` and the grid check from
-`ref_grid_transitivity_check` (all in test_compiled_relation).  The searches
-are `_orbit_dfs` and the three searches as they were before any search ran on
-a frame's ints, with the farthest-first order sorting by (distance, -v).
+`ref_grid_transitivity_check` (all in test_compiled_relation), and the grid
+discretization from `ref_discretize`, the sweep of Fraction rows over
+Fraction cells.  The searches are `_orbit_dfs` and the three searches as they
+were before any search ran on a frame's ints, with the farthest-first order
+sorting by (distance, -v).
 
 `assert_same_searches`, `assert_same_reach` and `assert_same_grid` compare
 the library with these references: status, witness and node count for the
@@ -17,8 +19,14 @@ import itertools
 from fractions import Fraction as F
 
 from crdyn.classify import BranchCoverResult, BudgetExceededError, Certainty, _min_cover
+from crdyn.density import EpsNet
+from crdyn.finite import FiniteRelation, FiniteSpace
 from crdyn.region import OrbitCover, Region1D, _as_fraction, _distance
 from crdyn.symbolic import (
+    _BOX_CAP,
+    _capped_cells,
+    _meeting,
+    _window_image,
     bounded_walk_search,
     forward_union,
     grid_transitivity_check,
@@ -169,6 +177,18 @@ def ref_sym_reach(R, start, max_iter):
     chain = ref_chain(R, start, max_iter + 1)
     chain += chain[-1:] * (max_iter + 2 - len(chain))  # a chain that stopped early stays put
     return chain[max_iter], chain[max_iter] == chain[max_iter + 1]
+
+
+def ref_discretize(R, delta, box_cap=_BOX_CAP):
+    """The sweep on Fractions: each row over the cells its x-range meets, then the rows its window image meets."""
+    cells = _capped_cells(R.space, _as_fraction(delta), box_cap)
+    edges = set()
+    for row in R._table.rows:
+        for i in _meeting(cells, row[0], row[1]):
+            ylo, yhi = _window_image(row, *cells[i])
+            edges.update((i, j) for j in _meeting(cells, ylo, yhi))
+    space = FiniteSpace([f"b{i}" for i in range(len(cells))])
+    return FiniteRelation(space, edges), EpsNet(R.space, cells, delta)
 
 
 # ---------------------------------------------------------------------------

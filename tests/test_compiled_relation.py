@@ -26,8 +26,8 @@ from crdyn.symbolic import (
     Segment,
     SinglePoint,
     SymbolicRelation,
+    _met,
     _range_choices,
-    _unmet,
     grid_transitivity_check,
     point_successors,
     successor_choices,
@@ -268,12 +268,13 @@ class TestTable:
         R = random_relation(3, 6)
         assert repr(R) == f"SymbolicRelation({R.space!r}, 6 primitives)"
 
-    def test_unmet_cells_touching_and_degenerate(self):
+    def test_met_cells_touching_and_degenerate(self):
         cells = [(F(0), F(1)), (F(1), F(2)), (F(2), F(2)), (F(3), F(4))]
         for region in (
             Region1D.point(1), Region1D.point(2), Region1D([(F(1, 2), 1), (2, 3)]),
             Region1D([(1, 1), (F(5, 2), 3)]), Region1D([(-1, 0), (4, 5)]), Region1D.interval(0, 4),
+            Region1D.empty(), Region1D([(-2, -1), (F(5, 2), F(5, 2)), (6, 7)]),
         ):
             pending = set(range(len(cells)))
             ref_mark(cells, pending, region)
-            assert _unmet(cells, list(range(len(cells))), region) == sorted(pending), region
+            assert set(range(len(cells))).difference(_met(cells, region)) == pending, region

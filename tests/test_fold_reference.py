@@ -6,7 +6,8 @@ were before legality, liveness and the type-2 chain test came from one
 condensation per relation and before the chase loops shared one generator.
 They are kept here as test references: the folded routes must give the same
 tags, chains, grades, regions and reports, and the symbolic ones must make
-the same number of sym_image and region_difference_closure calls.
+the same number of sym_image and region_difference_closure calls, except the
+grid check, whose chases share one frame's step memo and so make no more.
 """
 
 import math
@@ -615,6 +616,25 @@ class TestSymbolicChaseAgainstReference:
             for positive_only in (False, True):
                 if n == 0 and positive_only:
                     continue
-                want = ref_grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
-                got = grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
+                want, ref_calls = ref_grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
+                got, calls = grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
                 assert got == want, (name, n, positive_only)
+                # the frame's step memo images each distinct chase state once
+                assert all(calls[k] <= ref_calls[k] for k in calls), (name, n, positive_only, calls, ref_calls)
+
+
+class TestGridCheckStepMemo:
+    def test_exhura_images_each_distinct_state_once(self, kernel_calls):
+        R = gallery.build("exhura").relation
+        want = ref_grid_transitivity_check(R, F(1, 16), 64)
+        assert kernel_calls()["sym_image"] == 270
+        assert grid_transitivity_check(R, F(1, 16), 64) == want
+        assert kernel_calls()["sym_image"] == 93
+
+    def test_no_memo_outlives_its_check(self, kernel_calls):
+        R = gallery.build("exxi").relation
+        counts = []
+        for _ in range(2):
+            grid_transitivity_check(R, F(1, 8), 12)
+            counts.append(kernel_calls()["sym_image"])
+        assert counts[0] == counts[1] > 0
