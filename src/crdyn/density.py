@@ -10,10 +10,11 @@ enlarging the subset never turns a dense verdict false.  Two kinds exist:
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Protocol, Sequence
 
-from .region import Piece, Region1D, Space1D, _CoverFrame, _as_fraction, _merge, _times
+from .region import Piece, Space1D, _CoverFrame, _as_fraction, _merge, _times
 
 
 class DensityPredicate(Protocol):
@@ -48,9 +49,11 @@ class EpsNet:
     """dense(S) holds when the extents of S form an eps-net of the space.
 
     Extent ends, the space's component ends and eps are held as the ints n of
-    n/D (D the lcm of their denominators; scaling keeps the order), and the
-    extent ends are ranked once, so a density test merges the chosen extents
-    as pairs of ranks and hands the merged pieces to the covering test on ints.
+    n/D (D the lcm of their denominators; scaling keeps the order).  Each
+    extent is checked on these ints, its ends in order and the extent inside
+    the one component that can hold it (one bisect), and the extent ends are
+    ranked once, so a density test merges the chosen extents as pairs of
+    ranks and hands the merged pieces to the covering test on ints.
     The answer for the whole index set is computed on the first such query
     and kept: classifying the points of one relation asks one net about its
     whole index set again and again, and only that repetition pays for it.
@@ -65,20 +68,24 @@ class EpsNet:
         if eps <= 0:
             raise ValueError("eps must be positive")
         pieces = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in self.extents]
-        whole = space.region()
-        for lo, hi in pieces:
-            if lo > hi:
-                raise ValueError(f"extent bounds out of order: [{lo},{hi}]")
-            if not whole.contains_region(Region1D._wrap(((lo, hi),))):
-                raise ValueError(f"extent [{lo},{hi}] leaves the space")
-        values = sorted({e for piece in pieces for e in piece})
-        rank = {v: k for k, v in enumerate(values)}
-        self._ranks = [(rank[lo], rank[hi]) for lo, hi in pieces]
         comps = space._components
-        D = math.lcm(eps.denominator, *(v.denominator for v in values),
+        D = math.lcm(eps.denominator, *(e.denominator for piece in pieces for e in piece),
                      *(e.denominator for c in comps for e in c))
-        self._values = [_times(v, D) for v in values]
         ints = [(_times(lo, D), _times(hi, D)) for lo, hi in comps]
+        lows = [lo for lo, _ in ints]
+        ends = []
+        for lo, hi in pieces:
+            a, b = _times(lo, D), _times(hi, D)
+            if a > b:
+                raise ValueError(f"extent bounds out of order: [{lo},{hi}]")
+            # the one component that can hold [a, b] is the last starting at or before a
+            i = bisect.bisect_right(lows, a)
+            if i == 0 or ints[i - 1][1] < b:
+                raise ValueError(f"extent [{lo},{hi}] leaves the space")
+            ends.append((a, b))
+        self._values = values = sorted({e for piece in ends for e in piece})
+        rank = {v: k for k, v in enumerate(values)}
+        self._ranks = [(rank[a], rank[b]) for a, b in ends]
         self._frame = _CoverFrame(ints, _times(eps, D))
         self._whole = None
 

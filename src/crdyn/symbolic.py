@@ -20,6 +20,7 @@ answers are mapped back to Fractions.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -419,6 +420,18 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
     return Region1D._wrap(_merge(cut))
 
 
+def _check_steps(n, name: str) -> None:
+    """Refuse a step count (a horizon or max_iter) that is not an int, or is negative.
+
+    A frame's depth is such a count, so this runs before any frame is built;
+    a bool is refused, though Python counts it as an int.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def _frontier_chase(frame: _Frame, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
     """Yield (acc, frontier) after each step (`_Frame.advance`) that grows the cumulative reach of start.
 
@@ -435,8 +448,7 @@ def sym_reach(
     R: SymbolicRelation, start: Region1D, max_iter: int
 ) -> tuple[Region1D, bool]:
     """Cumulative reach start u G(start) u ...; stabilized reports exactness."""
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    _check_steps(max_iter, "max_iter")
     frame = _Frame(R, itertools.chain(*start.pieces), max_iter + 1)
     acc = frontier = Region1D._wrap(frame.pieces(start.pieces))
     steps = 0
@@ -461,8 +473,7 @@ def sym_reach_chain(R: SymbolicRelation, start: Region1D, max_iter: int) -> list
 
     Each step maps only its frontier back to Fractions (`_Frame.splice`).
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    _check_steps(max_iter, "max_iter")
     frame = _Frame(R, itertools.chain(*start.pieces), max_iter)
     links = _reach_chain(frame, Region1D._wrap(frame.pieces(start.pieces)), max_iter)
     chain = [start]
@@ -614,9 +625,10 @@ class _SearchFrame(_Frame):
     """One walk search query and its frame: start `x`, choice `step`, eps-net test `cover`.
 
     The query is checked here, in this order: x is a point of the space,
-    horizon >= 0, eps > 0, and a given choice step > 0 (default eps/2).  D
-    covers x, eps, the step and the space's component ends, and the depth is
-    the `horizon`.  Successors come from the memo of the table the search
+    horizon an int >= 0 (`_check_steps`), eps > 0, and a given choice step
+    > 0 (default eps/2), all before the frame is scaled.  D covers x, eps,
+    the step and the space's component ends, and the depth is the
+    `horizon`.  Successors come from the memo of the table the search
     reads (`_PrimitiveTable.choices`).
     """
 
@@ -627,8 +639,7 @@ class _SearchFrame(_Frame):
         eps = _as_fraction(eps)
         if not R.space.contains_point(x):
             raise ValueError(f"{x} is not a point of the space")
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        _check_steps(horizon, "horizon")
         if eps <= 0:
             raise ValueError("eps must be positive")
         step = _positive_step(choice_step) if choice_step is not None else eps / 2
@@ -663,8 +674,11 @@ def _orbit_dfs(
     counts a node and returns None to go on, _PRUNE to drop the state, or a
     witness walk to stop.  A survivor with fewer steps used than the frame's
     horizon pushes its successors in order(cover, successors), so the last
-    is explored first.  Children are built when popped, so siblings waiting
-    on the stack share their parent's walk, orbit and cover.
+    is explored first.  A survivor with exactly one successor steps on to it
+    without the stack: pushed alone, it would be popped next, so the nodes
+    and their order are the same.  The stack holds only branch points'
+    children, built when popped, so siblings waiting on it share their
+    parent's walk, orbit and cover.
 
     The result's witness is mapped back to Fractions; its status is "found",
     "exhausted", or "budget" (more than `budget` nodes).
@@ -685,26 +699,32 @@ def _orbit_dfs(
     push = stack.append
     while stack:
         prefix, seen, parent, v = stack.pop()
-        walk = prefix + (v,)
-        orbit = seen | {v}
-        cover = parent.insert(v)
-        used = len(walk) - 1
-        if memo_first and stale(v, orbit, used):
-            continue
-        nodes += 1
-        if nodes > budget:
-            return WalkSearchResult("budget", None, nodes)
-        got = visit(walk, orbit, cover)
-        if got is _PRUNE:
-            continue
-        if got is not None:
-            return WalkSearchResult("found", frame.exact(got), nodes)
-        if not memo_first and stale(v, orbit, used):
-            continue
-        if used >= horizon:
-            continue
-        for w in order(cover, choices(v, step)):
-            push((walk, orbit, cover, w))
+        while True:
+            walk = prefix + (v,)
+            orbit = seen | {v}
+            cover = parent.insert(v)
+            used = len(walk) - 1
+            if memo_first and stale(v, orbit, used):
+                break
+            nodes += 1
+            if nodes > budget:
+                return WalkSearchResult("budget", None, nodes)
+            got = visit(walk, orbit, cover)
+            if got is _PRUNE:
+                break
+            if got is not None:
+                return WalkSearchResult("found", frame.exact(got), nodes)
+            if not memo_first and stale(v, orbit, used):
+                break
+            if used >= horizon:
+                break
+            succs = choices(v, step)
+            if len(succs) != 1:
+                for w in order(cover, succs):
+                    push((walk, orbit, cover, w))
+                break
+            # a lone child would be popped next: step on to it without the stack
+            prefix, seen, parent, v = walk, orbit, cover, succs[0]
     return WalkSearchResult("exhausted", None, nodes)
 
 
@@ -714,9 +734,10 @@ def _dense_walk(walk, orbit, cover):
 
 def _farthest_last(cover, succs):
     # explore the farthest-from-covered successor first (LIFO: push last);
-    # ties go largest first, which a stable sort of the descending list keeps
+    # a stable sort of the descending list puts the largest of equally far
+    # successors first, so the smallest of them is explored first
     pts = cover.points
-    return sorted(succs[::-1], key=lambda v: _distance(pts, pts, v))
+    return sorted(succs[::-1], key=functools.partial(_distance, pts, pts))
 
 
 def _nondense_loop(walk, orbit, cover):
@@ -759,7 +780,8 @@ def nondense_loop_search(
 
     Such a walk extends to a periodic infinite walk with the same orbit, so a
     find certifies that not every infinite walk from the start is eps-dense.
-    Every popped state counts as a node, memo hits included.  As in
+    Every state reached counts as a node, memo hits included; a state with
+    one successor steps on to it without the stack.  As in
     bounded_walk_search, the orbit is an OrbitCover: O(log h) comparisons per
     node for the density test, plus an O(h) tuple copy.
     """
@@ -940,8 +962,7 @@ def grid_transitivity_check(
     square of the cell count, so more than `_BOX_CAP` cells raise
     BudgetExceededError.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+    _check_steps(horizon, "horizon")
     cells = _capped_cells(R.space, _as_fraction(delta), _BOX_CAP)
     frame = _Frame(R, itertools.chain(*cells), horizon)
     scaled = frame.pieces(cells)
@@ -974,8 +995,7 @@ def forward_union(
     R: SymbolicRelation, U: Region1D, horizon: int, include_start: bool
 ) -> Region1D:
     """Union of G^k(U): k from 0 (include_start) or 1, up to the horizon."""
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+    _check_steps(horizon, "horizon")
     if not include_start and horizon < 1:
         return Region1D.empty()  # no k in 1..horizon
     frame = _Frame(R, itertools.chain(*U.pieces), horizon)

@@ -146,7 +146,15 @@ def ref_sym_branch_cover(R, x, eps, horizon, choice_step=None, budget=50000, max
     if len(kept) > max_candidates:
         raise BudgetExceededError("too many candidate walks for branch cover search")
     kept.sort(key=lambda item: item[1])
-    picked = _min_cover(kept, lambda orbit: OrbitCover(R.space, eps, orbit).dense())
+    tests = itertools.count(1)
+
+    def dense(orbit):
+        # the budget bounds the cover selection's density tests too
+        if next(tests) > budget:
+            raise BudgetExceededError("cover selection too large for branch cover search")
+        return OrbitCover(R.space, eps, orbit).dense()
+
+    picked = _min_cover(kept, dense)
     if picked is None:
         return BranchCoverResult(None, (), horizon, Certainty.UNKNOWN_AT_HORIZON)
     size, idx = picked

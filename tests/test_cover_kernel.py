@@ -231,6 +231,7 @@ def test_eps_net_dense_matches_the_region_route():
             points = frozenset(i for i in range(n) if rng.random() < 0.6)
             got = net.dense(points)
             assert got == ref_net_dense(net, points), (space, extents, net.eps, points)
+            assert got == eps_dense(space, Region1D(extents[i] for i in points), net.eps)
             dense += got
         assert net.dense(frozenset()) is False
         assert net.dense(frozenset(range(n))) == ref_net_dense(net, range(n))
