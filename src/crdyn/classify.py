@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .density import DensityPredicate, Exhaustive
-from .finite import FiniteRelation, Walk, inverse_relation
+from .finite import FiniteRelation, Walk, _check_steps, inverse_relation
 
 OMEGA = None  # sentinel accepted by reach() for the stabilized variant
 _SEARCH_BUDGET = 20000  # default state budget of the finite bounded searches
@@ -275,14 +275,17 @@ def _cumulative(layers: Iterator[frozenset]) -> Iterator[frozenset]:
 
 def reach(G: FiniteRelation, x: int, n: int | None = OMEGA) -> frozenset:
     """The n-reach {x} u G(x) u ... u G^n(x); n=None gives the stabilized set."""
-    layers = itertools.islice(_reach_layers(G, x), None if n is None else max(n, 0) + 1)
+    if n is not None:
+        _check_steps(n, "n")
+    layers = itertools.islice(_reach_layers(G, x), None if n is None else n + 1)
     return frozenset().union(*layers)
 
 
 def reach_chain(G: FiniteRelation, x: int, max_steps: int | None = None) -> list[frozenset]:
     """Cumulative reach sets until stabilization (inclusive of the repeat)."""
     limit = max_steps if max_steps is not None else G.space.size + 1
-    chain = list(itertools.islice(_cumulative(_reach_layers(G, x)), max(limit, 0) + 1))
+    _check_steps(limit, "max_steps")
+    chain = list(itertools.islice(_cumulative(_reach_layers(G, x)), limit + 1))
     if len(chain) <= limit:
         chain.append(chain[-1])  # the step that adds nothing
     return chain
@@ -713,8 +716,7 @@ def minimal_dense_branch_cover(
     small; greedy upper bound otherwise, flagged UNKNOWN_AT_HORIZON unless it
     matches the structural lower bound.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+    _check_steps(horizon, "horizon")
     dense = _density(G, dense)
     cond = _analysis(G)
     if x not in cond.legal:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import gallery
 from .classify import (
     BudgetExceededError,
-    Certainty,
     IllegalPointError,
     _SEARCH_BUDGET,
     characterization_suite,
@@ -29,13 +28,7 @@ from .classify import (
 from .finite import FiniteRelation, InvalidInstanceError, mahavier_count, mahavier_enumerate
 from .io import parse_document, serialize_instance
 from .region import Region1D, format_fraction, parse_fraction
-from .symbolic import (
-    IntervalPointTag,
-    SymbolicRelation,
-    classify_interval_point,
-    grid_transitivity_check,
-    sym_reach_chain,
-)
+from .symbolic import SymbolicRelation, classify_interval_point, grid_transitivity_check, sym_reach_chain
 from .tree import build_tree, dot_export
 
 DEFAULT_EPS = Fraction(1, 64)
@@ -149,38 +142,9 @@ def _cmd_classify(args) -> int:
     tag = classify_interval_point(relation, _space_point(relation, args.point), eps, horizon)
     print(header)
     print(f"{'claim':<22} {'status':<20} detail")
-    for claim, status, detail in _interval_rows(tag):
-        print(f"{claim:<22} {status:<20} {detail}")
+    for c in tag.claims:
+        print(f"{c.name:<22} {c.status:<20} {c.detail}")
     return 0
-
-
-def _interval_rows(tag: IntervalPointTag) -> list[tuple[str, str, str]]:
-    """The (claim, status, detail) rows of an interval point's tag."""
-    if tag.legal is Certainty.REFUTED:
-        return [("legal", "refuted", f"images die out at step {tag.dies_at}"), ("verdict", "illegal", "")]
-    legal = tag.legal is Certainty.CERTIFIED
-    if tag.total:
-        unsure, why = "", "every point has a successor"
-    elif legal:
-        unsure, why = ", legal set unknown", "a loop from the point is an infinite walk"
-    else:
-        unsure, why = ", legality unknown", "images stay non-empty"
-    rows = [("legal", tag.legal.value, why)]
-    if tag.trans3 is Certainty.REFUTED:
-        rows.append(("trans3-at-eps", "refuted", "reach stabilized below density"))
-        rows.append(("verdict", "intransitive-at-eps" if legal else "unknown", ""))
-        return rows
-    grade = tag.reach_grade
-    reach = "reach still growing" if grade is None else f"reach dense at step {grade}{unsure}"
-    rows.append(("trans3-at-eps", tag.trans3.value, reach))
-    if tag.trans3 is Certainty.CERTIFIED:
-        rows.append(("reach-grade", str(grade), "least step with an eps-dense reach"))
-    walk, loop = tag.walk, tag.loop
-    found = f"witness of {len(walk.witness) - 1} steps{unsure}" if walk.found else f"search {walk.status}"
-    rows.append(("trans2-at-eps", tag.trans2.value, found))
-    looped = "a non-dense looping walk exists" if loop.found else f"search {loop.status}"
-    rows.append(("trans1-at-eps", tag.trans1.value, looped))
-    return rows
 
 
 # ---------------------------------------------------------------------------

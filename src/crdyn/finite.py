@@ -124,10 +124,22 @@ def inverse_relation(G: FiniteRelation) -> FiniteRelation:
     return FiniteRelation(G.space, ((b, a) for a, b in G.edges))
 
 
+def _check_steps(n, name: str) -> None:
+    """Refuse a step count that is not an int, or is negative, naming its parameter.
+
+    A bool is refused, though Python counts it as an int.  Both backends
+    check their counts with this before any step, so no symbolic frame,
+    whose depth is such a count, is built from a float.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def _steps(G: FiniteRelation, A: frozenset, n: int, neighbours) -> frozenset:
     """n steps from A, each to the `neighbours` (successors or predecessors) of the last."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_steps(n, "n")
     if not A <= G.space.all_points():
         raise ValueError("A is not a subset of the space")
     current = frozenset(A)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .classify import BranchCoverResult, BudgetExceededError, Certainty, _min_cover
 from .density import EpsNet
-from .finite import FiniteRelation, FiniteSpace
+from .finite import FiniteRelation, FiniteSpace, _check_steps
 from .region import (
     OrbitCover,
     Region1D,
@@ -418,18 +418,6 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
         else:
             cut.append((lo, hi))
     return Region1D._wrap(_merge(cut))
-
-
-def _check_steps(n, name: str) -> None:
-    """Refuse a step count (a horizon or max_iter) that is not an int, or is negative.
-
-    A frame's depth is such a count, so this runs before any frame is built;
-    a bool is refused, though Python counts it as an int.
-    """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{name} must be non-negative")
 
 
 def _frontier_chase(frame: _Frame, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
@@ -850,6 +838,19 @@ def sym_branch_cover(
 # ---------------------------------------------------------------------------
 # per-point tags
 
+# the routes a claim of `classify_interval_point` can be decided by
+ROUTES = frozenset({"total", "die-out", "loop-search", "stabilised-chase", "reach-chain", "walk-search"})
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One row of a tag: a claim's name and status, the route (in ROUTES) that decided it, and why."""
+
+    name: str
+    status: str
+    route: str
+    detail: str = ""
+
 
 @dataclass(frozen=True)
 class IntervalPointTag:
@@ -859,7 +860,8 @@ class IntervalPointTag:
     is the least n >= 1 with an eps-dense n-reach, the type-3 grade when
     trans3 is certified.  `walk` and `loop` are the type-2 and type-1
     searches, None when the tag was settled before they ran.  `total` says
-    whether the relation is total, so that every point is legal.
+    whether the relation is total, so that every point is legal.  `claims`
+    words the tag in print order, a verdict row last where the tag has one.
     """
 
     legal: Certainty
@@ -871,6 +873,7 @@ class IntervalPointTag:
     walk: WalkSearchResult | None = None
     loop: WalkSearchResult | None = None
     total: bool = False
+    claims: tuple[Claim, ...] = ()
 
 
 def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> IntervalPointTag:
@@ -894,27 +897,46 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
     unknown, refuted, certified = Certainty.UNKNOWN_AT_HORIZON, Certainty.REFUTED, Certainty.CERTIFIED
     start = Region1D._wrap(((frame.x, frame.x),))
     total = is_total(R)
-    if not total:
+    if total:
+        legal = Claim("legal", certified.value, "total", "every point has a successor")
+    else:
         images = start
         for n in range(1, horizon + 1):
             images = sym_image(frame, images)
             if images.is_empty():
-                return IntervalPointTag(refuted, refuted, refuted, refuted, dies_at=n)
-    legal = certified if total else unknown
+                return IntervalPointTag(refuted, refuted, refuted, refuted, dies_at=n, claims=(
+                    Claim("legal", refuted.value, "die-out", f"images die out at step {n}"),
+                    Claim("verdict", "illegal", "die-out")))
+        legal = Claim("legal", unknown.value, "die-out", "images stay non-empty")
+    # only on a total relation is every point legal and does every walk go
+    # on: only there do a dense reach and a dense walk certify
+    sure = certified if total else unknown
     chain = [acc for acc, _ in _reach_chain(frame, start, horizon)]
     covers = frame.cover.covers
     grade = next((n for n in range(1, len(chain)) if covers(chain[n].pieces)), None)
     if grade is None and len(chain) >= 2 and chain[-1] == chain[-2]:
-        return IntervalPointTag(legal, refuted, refuted, refuted, total=total)
+        return IntervalPointTag(sure, refuted, refuted, refuted, total=total, claims=(
+            legal,
+            Claim("trans3-at-eps", refuted.value, "stabilised-chase", "reach stabilized below density"),
+            Claim("verdict", "intransitive-at-eps" if total else "unknown", "stabilised-chase")))
     walk = _orbit_dfs(frame, _BUDGET, _dense_walk, _farthest_last)
     loop = _orbit_dfs(frame, _BUDGET, _nondense_loop, memo_first=False)
-    # only on a total relation is every point legal and does every walk go
-    # on: only there do a dense reach and a dense walk certify
+    unsure = "" if total else ", legal set unknown" if loop.found else ", legality unknown"
+    if loop.found and not total:
+        legal = Claim("legal", certified.value, "loop-search", "a loop from the point is an infinite walk")
+    trans3 = unknown if grade is None else sure
+    reach = "reach still growing" if grade is None else f"reach dense at step {grade}{unsure}"
+    claims = [legal, Claim("trans3-at-eps", trans3.value, "reach-chain", reach)]
+    if trans3 is certified:
+        claims.append(Claim("reach-grade", str(grade), "reach-chain", "least step with an eps-dense reach"))
+    trans2, trans1 = sure if walk.found else unknown, refuted if loop.found else unknown
+    found = f"witness of {len(walk.witness) - 1} steps{unsure}" if walk.found else f"search {walk.status}"
+    looped = "a non-dense looping walk exists" if loop.found else f"search {loop.status}"
+    claims += (Claim("trans2-at-eps", trans2.value, "walk-search", found),
+               Claim("trans1-at-eps", trans1.value, "loop-search", looped))
     return IntervalPointTag(
-        certified if loop.found else legal, unknown if grade is None else legal,
-        legal if walk.found else unknown, refuted if loop.found else unknown,
-        reach_grade=grade, walk=walk, loop=loop, total=total,
-    )
+        certified if loop.found else sure, trans3, trans2, trans1,
+        reach_grade=grade, walk=walk, loop=loop, total=total, claims=tuple(claims))
 
 
 # ---------------------------------------------------------------------------

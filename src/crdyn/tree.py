@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .classify import _SEARCH_BUDGET, Condensation, _analysis, _decide, _density, orbit_union, reach
 from .density import DensityPredicate
-from .finite import FiniteRelation, image
+from .finite import FiniteRelation, _check_steps, image
 
 
 class TransTree:
@@ -24,8 +24,7 @@ class TransTree:
     def __init__(self, relation: FiniteRelation, root: int, depth: int):
         if not 0 <= root < relation.space.size:
             raise ValueError("root outside the space")
-        if depth < 0:
-            raise ValueError("depth must be non-negative")
+        _check_steps(depth, "depth")
         self.relation = relation
         self.root = root
         self.depth = depth

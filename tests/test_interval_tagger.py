@@ -2,15 +2,19 @@
 
 `crdyn classify` on an interval document used to decide each claim inside
 the CLI, in `_symbolic_point_rows` below, copied as it was.  Now
-`classify_interval_point` decides them and the CLI only formats the tag, so
-on every total relation the formatted tag must give the reference's rows.
-On a relation that is not total the two differ on purpose: a dense reach and
-a found walk certify type 3 and type 2 only at a certified legal point.
+`classify_interval_point` decides each claim and words it as a `Claim` row
+naming its route, and the CLI only prints the rows, so on every total
+relation the tag's claims must give the reference's rows.  On a relation
+that is not total the two differ on purpose: a dense reach and a found walk
+certify type 3 and type 2 only at a certified legal point.
 """
 
+import functools
 import random
+import re
 from fractions import Fraction
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from crdyn.classify import Certainty
 from crdyn.io import parse_instance
 from crdyn.region import Region1D, Space1D, eps_dense
 from crdyn.symbolic import (
+    ROUTES,
     IntervalPointTag,
     Segment,
     SymbolicRelation,
@@ -34,6 +39,7 @@ from crdyn.symbolic import (
     sym_reach_chain,
 )
 from test_integer_frame import random_integer_slope_relation
+from test_cli import GOLDEN_INTERVAL_CLASSIFY
 
 # ---------------------------------------------------------------------------
 # reference: the CLI's row builder before the tagger
@@ -119,7 +125,7 @@ def starts(R):
 
 
 def rows(R, x, eps, horizon):
-    return cli._interval_rows(classify_interval_point(R, x, eps, horizon))
+    return [(c.name, c.status, c.detail) for c in classify_interval_point(R, x, eps, horizon).claims]
 
 
 def is_walk(R, walk):
@@ -292,6 +298,59 @@ def test_bad_queries_raise_before_any_chase(monkeypatch, doc, x, eps, horizon, m
 
 
 # ---------------------------------------------------------------------------
+# every claim names its route
+
+
+def golden_queries():
+    """(relation, point, eps) of each command in the interval golden, at its default horizon 200."""
+    commands = re.findall(r"^\$ crdyn classify (\S+)\.json --point (\S+) --eps (\S+)$",
+                          GOLDEN_INTERVAL_CLASSIFY.read_text(), re.MULTILINE)
+    assert commands
+    return [(gallery.build(name).relation, F(x), F(eps)) for name, x, eps in commands]
+
+
+@functools.cache
+def tagged_claims():
+    """The tags of the interval golden, of DIE at 1/2 and 1/8, and of DEAD at 2 (made once)."""
+    queries = golden_queries() + [
+        (parse_instance(DIE), F(1, 2), F(1, 64)),
+        (parse_instance(DIE), F(1, 8), F(1, 2)),
+        (parse_instance(DEAD), F(2), F(1, 2)),
+    ]
+    return [classify_interval_point(R, x, eps, 200) for R, x, eps in queries]
+
+
+def test_every_claim_names_a_route_and_every_route_occurs():
+    seen = set()
+    for tag in tagged_claims():
+        fields = {"legal": tag.legal, "trans3-at-eps": tag.trans3,
+                  "trans2-at-eps": tag.trans2, "trans1-at-eps": tag.trans1}
+        assert tag.claims and tag.claims[0].name == "legal"
+        for claim in tag.claims:
+            assert claim.route in ROUTES, claim
+            if claim.name in fields:
+                assert claim.status == fields[claim.name].value, claim
+            seen.add(claim.route)
+    assert seen == ROUTES
+
+
+def test_each_route_writes_its_claims():
+    die, dead = parse_instance(DIE), parse_instance(DEAD)
+
+    def routes(R, x, eps):
+        return [(c.name, c.route) for c in classify_interval_point(R, x, eps, 200).claims]
+
+    assert routes(die, F(1, 2), F(1, 64)) == [("legal", "die-out"), ("verdict", "die-out")]
+    assert routes(die, F(1, 8), F(1, 2)) == [
+        ("legal", "die-out"), ("trans3-at-eps", "stabilised-chase"), ("verdict", "stabilised-chase")]
+    assert routes(dead, F(2), F(1, 2)) == [("legal", "loop-search"), ("trans3-at-eps", "reach-chain"),
+                                           ("trans2-at-eps", "walk-search"), ("trans1-at-eps", "loop-search")]
+    assert routes(gallery.build("ex1").relation, F(1, 2), F(1, 8)) == [
+        ("legal", "total"), ("trans3-at-eps", "reach-chain"), ("reach-grade", "reach-chain"),
+        ("trans2-at-eps", "walk-search"), ("trans1-at-eps", "loop-search")]
+
+
+# ---------------------------------------------------------------------------
 # structure: the CLI formats, the library decides
 
 SEARCHES_AND_CHASES = {
@@ -306,6 +365,17 @@ def test_cli_imports_no_search_or_chase_of_the_tagger():
 
 
 def test_classify_command_calls_no_search_or_chase():
-    for fn in (cli._cmd_classify, cli._interval_rows):
-        assert not SEARCHES_AND_CHASES & set(fn.__code__.co_names), fn.__name__
+    assert not SEARCHES_AND_CHASES & set(cli._cmd_classify.__code__.co_names)
     assert "classify_interval_point" in cli._cmd_classify.__code__.co_names
+
+
+CLAIM_PHRASES = ("every point has a successor", "images die out", "legal set unknown",
+                 "reach stabilized below density", "a non-dense looping walk exists")
+
+
+def test_cli_holds_no_wording_of_an_interval_claim():
+    source = Path(cli.__file__).read_text()
+    for phrase in CLAIM_PHRASES:
+        assert phrase not in source, phrase
+    assert all(any(phrase in c.detail for tag in tagged_claims() for c in tag.claims)
+               for phrase in CLAIM_PHRASES)

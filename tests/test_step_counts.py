@@ -1,21 +1,24 @@
-"""Step counts that are not ints are refused before any frame is built.
+"""Step counts that are not ints are refused before any step is taken.
 
-A horizon or max_iter is the depth of a `_Frame`, whose scale is
-D * q**depth, so a float would reach the frame's int arithmetic and a bool
-would pass for 0 or 1.  Every entry point refuses both with one TypeError
-that names the parameter, raised by `symbolic._check_steps`; a negative int
-still gives the ValueError it gave before.
+A symbolic horizon or max_iter is the depth of a `_Frame`, whose scale is
+D * q**depth, so a float would reach the frame's int arithmetic, and on
+either backend a bool would pass for 0 or 1.  Every entry point refuses
+both with one TypeError that names the parameter, raised by
+`finite._check_steps`, and a negative int with a ValueError (`reach` and
+`reach_chain` used to answer it as 0).  Where None means "to
+stabilisation" (`reach`, `reach_chain`) it still runs.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from crdyn import gallery, symbolic
+from crdyn import classify, finite, gallery, symbolic, tree
 from crdyn.region import Region1D
 
 R = gallery.build("exhura").relation
 START = Region1D.point(F(1, 8))
+G = finite.FiniteRelation(finite.FiniteSpace(["a", "b", "c"]), [(0, 1), (1, 2), (2, 0)])
 
 # entry point, its step parameter, and a call with that parameter's value
 CALLS = [
@@ -28,7 +31,13 @@ CALLS = [
     ("grid_transitivity_check", "horizon", lambda h: symbolic.grid_transitivity_check(R, F(1, 4), h)),
     ("sym_reach", "max_iter", lambda n: symbolic.sym_reach(R, START, n)),
     ("sym_reach_chain", "max_iter", lambda n: symbolic.sym_reach_chain(R, START, n)),
+    ("image", "n", lambda n: finite.image(G, frozenset({0}), n)),
+    ("reach", "n", lambda n: classify.reach(G, 0, n)),
+    ("reach_chain", "max_steps", lambda n: classify.reach_chain(G, 0, n)),
+    ("minimal_dense_branch_cover", "horizon", lambda h: classify.minimal_dense_branch_cover(G, 0, None, h)),
+    ("TransTree", "depth", lambda d: tree.TransTree(G, 0, d)),
 ]
+OPEN_ENDED = {"reach", "reach_chain"}  # None runs to stabilisation
 IDS = [name for name, _, _ in CALLS]
 
 
@@ -43,6 +52,9 @@ def no_frames(monkeypatch):
 @pytest.mark.parametrize("name,param,call", CALLS, ids=IDS)
 @pytest.mark.parametrize("value", [1.5, 2.0, float("nan"), True, False, F(2), "2", None])
 def test_a_step_count_that_is_not_an_int_is_refused(name, param, call, value, no_frames):
+    if value is None and name in OPEN_ENDED:
+        call(value)
+        return
     with pytest.raises(TypeError, match=f"^{param} must be an int, not {type(value).__name__}$"):
         call(value)
 
