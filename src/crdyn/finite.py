@@ -124,8 +124,8 @@ def inverse_relation(G: FiniteRelation) -> FiniteRelation:
     return FiniteRelation(G.space, ((b, a) for a, b in G.edges))
 
 
-def _check_steps(n, name: str) -> None:
-    """Refuse a step count that is not an int, or is negative, naming its parameter.
+def _check_steps(n, name: str, least: int = 0) -> None:
+    """Refuse a step count that is not an int, or is below least (0 or 1), naming its parameter.
 
     A bool is refused, though Python counts it as an int.  Both backends
     check their counts with this before any step, so no symbolic frame,
@@ -133,8 +133,8 @@ def _check_steps(n, name: str) -> None:
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"{name} must be an int, not {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{name} must be non-negative")
+    if n < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
 
 
 def _steps(G: FiniteRelation, A: frozenset, n: int, neighbours) -> frozenset:
@@ -194,8 +194,7 @@ def mahavier_count(G: FiniteRelation, m: int) -> int:
 
     Exact at any size: Python integers never wrap.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_steps(m, "m", 1)
     n = G.space.size
     counts = [1] * n  # walks of length 0 starting at each point
     for _ in range(m):
@@ -205,10 +204,9 @@ def mahavier_count(G: FiniteRelation, m: int) -> int:
 
 def mahavier_enumerate(G: FiniteRelation, m: int, limit: int | None = None) -> list[Walk]:
     """Walks of m steps in lexicographic point-index order, up to `limit`."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
+    _check_steps(m, "m", 1)
+    if limit is not None:
+        _check_steps(limit, "limit")
     out: list[Walk] = []
     if limit == 0:
         return out
@@ -226,8 +224,7 @@ def walks_from(G: FiniteRelation, start: int, steps: int) -> Iterator[tuple[int,
     The depth-first walk keeps an explicit stack, so walks of any length are
     enumerated without recursion.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    _check_steps(steps, "steps")
     if steps == 0:
         yield (start,)
         return

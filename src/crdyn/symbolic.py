@@ -262,13 +262,13 @@ class _Frame:
     table and successor memo of the searches.  The frame keeps the table in
     R's field `_table`, standing in for R where only the table is read, as
     in `sym_image`.  Ints map back to Fraction(n, S) through a memo, so an
-    end shared by many regions of one chase is reduced once.  Each chase
-    step (`advance`) is memoised too, so the chases of one query that meet a
-    state already stepped share its answer; a frame is built per query, and
-    neither memo outlives it.
+    end shared by many regions of one chase is reduced once; a frame is
+    built per query, and the memo does not outlive it.  `advance` keeps no
+    state: one chase never repeats one, and `grid_transitivity_check`, whose
+    chases meet each other, keeps their steps itself.
     """
 
-    __slots__ = ("scale", "_table", "_fractions", "_steps")
+    __slots__ = ("scale", "_table", "_fractions")
 
     def __init__(self, R: SymbolicRelation, values: Iterable[Fraction], depth: int):
         table = R._table
@@ -276,7 +276,6 @@ class _Frame:
         D = math.lcm(*(v.denominator for v in values), table.denominator)
         self.scale, self._table = table.scaled(D * table.q**depth)
         self._fractions: dict[int, Fraction] = {}
-        self._steps: dict[tuple, list] = {}  # frontier pieces -> [(acc pieces, next state)]
 
     def advance(self, acc: Region1D, frontier: Region1D) -> tuple[Region1D, Region1D] | None:
         """The chase step from (acc, frontier): the next (acc, frontier), or None once stable.
@@ -285,27 +284,13 @@ class _Frame:
         is exact because images distribute over unions; the step adds nothing
         when the reach already holds the image.  Since (acc u img) minus acc
         is img minus acc, the new frontier comes from the image alone, so a
-        step makes O(|img| log |acc|) comparisons, not O(|acc|^2).  Each
-        state's answer is kept for the life of the frame, keyed by the
-        frontier's pieces, with acc's pieces compared only when the frontier
-        matches: chases that meet a state already stepped in this frame
-        (several cells of one grid check, say) take its answer, so each
-        distinct state costs one sym_image and, when it grows, one
-        region_difference_closure.
+        step makes O(|img| log |acc|) comparisons, not O(|acc|^2).
         """
-        held = self._steps.setdefault(frontier.pieces, [])
-        pieces = acc.pieces
-        for old, step in held:
-            if old == pieces:
-                return step
         img = sym_image(self, frontier)
         if acc.contains_region(img):
-            step = None
-        else:
-            new = region_difference_closure(img, acc)
-            step = acc.union(new), new
-        held.append((pieces, step))
-        return step
+            return None
+        new = region_difference_closure(img, acc)
+        return acc.union(new), new
 
     def pieces(self, pieces: Sequence[tuple]) -> tuple[tuple[int, int], ...]:
         """Closed pieces (lo, hi) of the relation's numbers in the frame's ints."""
@@ -420,14 +405,14 @@ def region_difference_closure(a: Region1D, b: Region1D) -> Region1D:
     return Region1D._wrap(_merge(cut))
 
 
-def _frontier_chase(frame: _Frame, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
-    """Yield (acc, frontier) after each step (`_Frame.advance`) that grows the cumulative reach of start.
+def _frontier_chase(advance: Callable, start: Region1D) -> Iterator[tuple[Region1D, Region1D]]:
+    """Yield (acc, frontier) after each step that grows the cumulative reach of start.
 
-    start and every region yielded are in the frame's numbers.  The chase
-    ends at the first image that adds nothing.  One chase never repeats a
-    state, so only chases that share their frame share steps.
+    advance is a frame's chase step (`_Frame.advance`), or the grid check's
+    memoised one; start and every region yielded are in the frame's
+    numbers.  The chase ends at the first image that adds nothing.
     """
-    advance, state = frame.advance, (start, start)
+    state = start, start
     while (state := advance(*state)) is not None:
         yield state
 
@@ -440,7 +425,8 @@ def sym_reach(
     frame = _Frame(R, itertools.chain(*start.pieces), max_iter + 1)
     acc = frontier = Region1D._wrap(frame.pieces(start.pieces))
     steps = 0
-    for steps, (acc, frontier) in enumerate(itertools.islice(_frontier_chase(frame, acc), max_iter), 1):
+    chase = itertools.islice(_frontier_chase(frame.advance, acc), max_iter)
+    for steps, (acc, frontier) in enumerate(chase, 1):
         pass
     # past max_iter, one more image (within the depth) detects stabilization
     stabilized = steps < max_iter or acc.contains_region(sym_image(frame, frontier))
@@ -450,7 +436,7 @@ def sym_reach(
 def _reach_chain(frame: _Frame, start: Region1D, max_iter: int) -> list[tuple[Region1D, Region1D]]:
     """[(R_0, R_0), (R_1, F_1), ...] in the frame's ints, to max_iter or stabilization; F_n is new in R_n."""
     chain = [(start, start)]
-    chain += itertools.islice(_frontier_chase(frame, start), max_iter)
+    chain += itertools.islice(_frontier_chase(frame.advance, start), max_iter)
     if len(chain) <= max_iter:
         chain.append((chain[-1][0], Region1D.empty()))  # the step that adds nothing
     return chain
@@ -979,15 +965,28 @@ def grid_transitivity_check(
     met when the chain intersects the open cell interior, or contains the
     point for degenerate cells.  positive_only starts the chase at n = 1, so
     at horizon 0 it meets no cell.  The cells are scaled into one frame for
-    every chase, whose step memo (`_Frame.advance`) the chases share, and the
-    report gives them back as they were built.  The cost grows with the
-    square of the cell count, so more than `_BOX_CAP` cells raise
-    BudgetExceededError.
+    every chase, and the report gives them back as they were built.  Chases
+    of different cells meet the same states, so the check keeps each state's
+    step for the call, keyed by the frontier's pieces, with acc's compared
+    only on a match: each distinct state costs one sym_image and, when it
+    grows, one region_difference_closure.  The cost grows with the square of
+    the cell count, so more than `_BOX_CAP` cells raise BudgetExceededError.
     """
     _check_steps(horizon, "horizon")
     cells = _capped_cells(R.space, _as_fraction(delta), _BOX_CAP)
     frame = _Frame(R, itertools.chain(*cells), horizon)
     scaled = frame.pieces(cells)
+    held: dict[tuple, list] = {}  # frontier pieces -> [(acc pieces, next state)]
+
+    def advance(acc: Region1D, frontier: Region1D) -> tuple[Region1D, Region1D] | None:
+        states = held.setdefault(frontier.pieces, [])
+        for old, step in states:
+            if old == acc.pieces:
+                return step
+        step = frame.advance(acc, frontier)
+        states.append((acc.pieces, step))
+        return step
+
     misses: list[tuple[int, int]] = []
     max_steps = 0
     for ui, cell in enumerate(scaled):
@@ -998,7 +997,7 @@ def grid_transitivity_check(
         pending = set(range(len(scaled))).difference(_met(scaled, start))
         if pending:
             # a chase that stops early has stabilized: no new cell can be met
-            chase = itertools.islice(_frontier_chase(frame, start), horizon - steps)
+            chase = itertools.islice(_frontier_chase(advance, start), horizon - steps)
             for steps, (_, frontier) in enumerate(chase, steps + 1):
                 pending.difference_update(_met(scaled, frontier))
                 if not pending:
@@ -1024,6 +1023,6 @@ def forward_union(
     acc = Region1D._wrap(frame.pieces(U.pieces))
     if not include_start:
         acc, horizon = sym_image(frame, acc), horizon - 1
-    for acc, _ in itertools.islice(_frontier_chase(frame, acc), horizon):
+    for acc, _ in itertools.islice(_frontier_chase(frame.advance, acc), horizon):
         pass
     return frame.exact_region(acc)

@@ -7,7 +7,7 @@ condensation per relation and before the chase loops shared one generator.
 They are kept here as test references: the folded routes must give the same
 tags, chains, grades, regions and reports, and the symbolic ones must make
 the same number of sym_image and region_difference_closure calls, except the
-grid check, whose chases share one frame's step memo and so make no more.
+grid check, whose chases share the check's one step memo and so make no more.
 """
 
 import math
@@ -622,7 +622,7 @@ class TestSymbolicChaseAgainstReference:
                 want, ref_calls = ref_grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
                 got, calls = grid_transitivity_check(R, F(1, 4), n, positive_only), kernel_calls()
                 assert got == want, (name, n, positive_only)
-                # the frame's step memo images each distinct chase state once
+                # the check's step memo images each distinct chase state once
                 assert all(calls[k] <= ref_calls[k] for k in calls), (name, n, positive_only, calls, ref_calls)
 
 

@@ -5,10 +5,10 @@ compared with `ref_discretize` of fraction_reference, the sweep on
 Fractions: the same labels, edges and eps-net extents on every gallery
 interval relation and on seeded relations with integer and with rational
 slopes, at grid widths that are and are not dyadic.
-`grid_transitivity_check` chases every cell in one frame whose step memo
-several cells' chases share, and finds met cells by bisection; on the
-seeded relations it gives the reports of the chase loop and per-cell mark
-of test_fold_reference, misses in the same order.
+`grid_transitivity_check` chases every cell in one frame, with one step
+memo for the call that several cells' chases share, and finds met cells by
+bisection; on the seeded relations it gives the reports of the chase loop
+and per-cell mark of test_fold_reference, misses in the same order.
 """
 
 from fractions import Fraction as F
