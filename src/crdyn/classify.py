@@ -68,6 +68,13 @@ class ClassificationTag:
     horizon: int | None = None
 
 
+# the tags that carry only a verdict; frozen, so every classification shares them
+_ILLEGAL = ClassificationTag(Verdict.ILLEGAL)
+_INTRANSITIVE = ClassificationTag(Verdict.INTRANSITIVE)
+_TRANS1 = ClassificationTag(Verdict.TRANS1)
+_TRANS2 = ClassificationTag(Verdict.TRANS2)
+
+
 # ---------------------------------------------------------------------------
 # graph plumbing
 
@@ -103,16 +110,20 @@ def legal_by_cycle_reach(G: FiniteRelation) -> frozenset:
 
 class Condensation:
     """Strongly connected components of a relation, their DAG, and what the
-    finite decisions read from it; built once per relation (see `_analysis`).
+    finite decisions read from it; built once per relation (see `_analysis`)
+    in one pass of Tarjan's algorithm over the successor lists.
 
-    Tarjan emits a component after all it reaches, so DAG edges point to
-    lower indices: one ascending pass gives `reach_live`, `reach_dead` (some
-    walk from the component ends at a successor-free point) and the `legal`
-    points, and descending indices are a topological order.  When it is the
-    only one (consecutive components adjacent) and the sink 0 is live, some
-    walk visits every point, starting in `chain_source`, the top component.
-    `source` is the unique source component when every point is legal (else
-    None): its points are those whose orbit union is the whole space.
+    Tarjan emits a component only after every component it reaches, so each
+    component's DAG successors, whether it is `live` (has an internal edge),
+    `reach_live` and `reach_dead` (some walk from it ends at a successor-free
+    point) are all read when it is emitted.  DAG edges point to lower
+    indices, and descending indices are a topological order.  A point is
+    `legal` when its component reaches a live one.  When consecutive
+    components are adjacent (so that order is the only topological one) and
+    the sink 0 is live, some walk visits every point, starting in
+    `chain_source`, the top component.  `source` is the unique source component when every point is
+    legal (else None): its points are those whose orbit union is the whole
+    space.
     """
 
     __slots__ = (
@@ -121,77 +132,78 @@ class Condensation:
     )
 
     def __init__(self, G: FiniteRelation):
-        n = G.space.size
-        index = [None] * n
+        succ = G._succ
+        n = len(succ)
+        index = [-1] * n
         low = [0] * n
-        on_stack = [False] * n
+        scc_of = [-1] * n  # -1 for a visited point marks it as still on the stack
         stack: list[int] = []
-        comp_of = [None] * n
-        comps: list[list[int]] = []
-        counter = 0
-        for root in range(n):
-            if index[root] is not None:
-                continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                recursed = False
-                succ = G.successors(v)
-                for j in range(pi, len(succ)):
-                    w = succ[j]
-                    if index[w] is None:
-                        work[-1] = (v, j + 1)
-                        work.append((w, 0))
-                        recursed = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if recursed:
-                    continue
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp_of[w] = len(comps)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(sorted(comp))
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-        self.count = len(comps)
-        self.scc_of = tuple(comp_of)
-        self.members = tuple(frozenset(c) for c in comps)
-        dag: list[set[int]] = [set() for _ in comps]
-        live = [False] * len(comps)
-        for a, b in G.edges:
-            ca, cb = comp_of[a], comp_of[b]
-            if ca == cb:
-                live[ca] = True  # an internal edge supports an infinite walk
-            else:
-                dag[ca].add(cb)
-        self.dag_succ = tuple(frozenset(s) for s in dag)
-        self.live = tuple(live)
+        members: list[frozenset] = []
+        dag_succ: list[frozenset] = []
+        live: list[bool] = []
         reach_live: list[bool] = []
         reach_dead: list[bool] = []
-        for c, succ in enumerate(self.dag_succ):
-            reach_live.append(live[c] or any(reach_live[d] for d in succ))
-            reach_dead.append(not (live[c] or succ) or any(reach_dead[d] for d in succ))
+        chain = True
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, todo = work[-1]
+                for w in todo:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        work.append((w, iter(succ[w])))
+                        break
+                    if scc_of[w] < 0 and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    lv = low[v]
+                    if work:
+                        u = work[-1][0]
+                        if lv < low[u]:
+                            low[u] = lv
+                    if lv != index[v]:
+                        continue
+                    c = len(members)
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        scc_of[w] = c
+                    comp.sort()
+                    out = {scc_of[w] for u in comp for w in succ[u]}
+                    own = c in out  # an internal edge supports an infinite walk
+                    out.discard(c)
+                    members.append(frozenset(comp))
+                    dag_succ.append(frozenset(out))
+                    live.append(own)
+                    if out:
+                        reach_live.append(own or any(map(reach_live.__getitem__, out)))
+                        reach_dead.append(any(map(reach_dead.__getitem__, out)))
+                        chain = chain and c - 1 in out
+                    else:  # a sink component
+                        reach_live.append(own)
+                        reach_dead.append(not own)
+                        chain = chain and c == 0
+        self.count = count = len(members)
+        self.scc_of = tuple(scc_of)
+        self.members = tuple(members)
+        self.dag_succ = tuple(dag_succ)
+        self.live = tuple(live)
         self.reach_live = reach_live
         self.reach_dead = reach_dead
         self.legal = frozenset(v for v, c in enumerate(self.scc_of) if reach_live[c])
-        top = self.count - 1
-        chain = all(c - 1 in self.dag_succ[c] for c in range(1, self.count))
+        top = count - 1
         self.chain_source = top if chain and live[0] else None
-        sole = len(set().union(*self.dag_succ)) == top and len(self.legal) == n
+        sole = len(self.legal) == n and len(set().union(*dag_succ)) == top
         self.source = top if sole else None
         self._trans1: frozenset | None = None
 
@@ -426,17 +438,17 @@ def classify_point(
         raise ValueError("point outside the space")
     dense = _density(G, dense)
     if x not in _analysis(G).legal:
-        return ClassificationTag(Verdict.ILLEGAL)
+        return _ILLEGAL
     cover_dense, t2, t1 = _decide(G, x, dense, search_budget)
     if not cover_dense:
-        return ClassificationTag(Verdict.INTRANSITIVE)
-    unknown = {"certainty": Certainty.UNKNOWN_AT_HORIZON, "horizon": search_budget}
+        return _INTRANSITIVE
     if t1:
-        return ClassificationTag(Verdict.TRANS1)
-    if t2:
-        return ClassificationTag(Verdict.TRANS2, **(unknown if t1 is None else {}))
-    if t2 is None:
-        return ClassificationTag(Verdict.TRANS3, **unknown)
+        return _TRANS1
+    if t2 and t1 is False:
+        return _TRANS2
+    if t2 is not False:  # a bounded search ran out of budget
+        verdict = Verdict.TRANS2 if t2 else Verdict.TRANS3
+        return ClassificationTag(verdict, certainty=Certainty.UNKNOWN_AT_HORIZON, horizon=search_budget)
     grade = reach_grade(G, x, dense)
     assert grade is not None, "reach stabilizes on finite spaces, so a dense omega-reach is dense at finite depth"
     return ClassificationTag(Verdict.TRANS3, reach_grade=grade)
@@ -718,6 +730,8 @@ def minimal_dense_branch_cover(
     """
     _check_steps(horizon, "horizon")
     dense = _density(G, dense)
+    if not 0 <= x < G.space.size:
+        raise ValueError("point outside the space")
     cond = _analysis(G)
     if x not in cond.legal:
         raise IllegalPointError(f"point {x} is illegal; branch covers need a legal start")

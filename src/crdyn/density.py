@@ -11,6 +11,7 @@ enlarging the subset never turns a dense verdict false.  Two kinds exist:
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Protocol, Sequence
 
@@ -57,9 +58,17 @@ class EpsNet:
     The answer for the whole index set is computed on the first such query
     and kept: classifying the points of one relation asks one net about its
     whole index set again and again, and only that repetition pays for it.
+
+    Any other set too small to cover the space is refused by counting,
+    before any merge: an extent [a, b] brings at most a length
+    (b - a) + 2 eps of the space within eps, so when M, the total length of
+    the space's intervals, is positive, an eps-net needs at least `_least`
+    extents, the fewest whose widest reaches sum to M, or one more than
+    there are when even all of them fall short.  The count only refutes, and
+    only where the covering test would.
     """
 
-    __slots__ = ("space", "extents", "eps", "_frame", "_values", "_ranks", "_whole")
+    __slots__ = ("space", "extents", "eps", "_frame", "_values", "_ranks", "_least", "_whole")
 
     def __init__(self, space: Space1D, extents: Sequence[Piece], eps):
         self.space = space
@@ -86,7 +95,12 @@ class EpsNet:
         self._values = values = sorted({e for piece in ends for e in piece})
         rank = {v: k for k, v in enumerate(values)}
         self._ranks = [(rank[a], rank[b]) for a, b in ends]
-        self._frame = _CoverFrame(ints, _times(eps, D))
+        eps_n = _times(eps, D)
+        self._frame = _CoverFrame(ints, eps_n)
+        # running sums of the extents' reaches, widest first
+        sums = list(itertools.accumulate(sorted((b - a + 2 * eps_n for a, b in ends), reverse=True)))
+        total = sum(hi - lo for lo, hi in ints)
+        self._least = bisect.bisect_left(sums, total) + 1 if total else 0
         self._whole = None
 
     @property
@@ -103,6 +117,8 @@ class EpsNet:
                 self._whole = self._covers(ranks)
             return self._whole
         _check_points(points, len(ranks))
+        if len(points) < self._least:
+            return False
         return self._covers(map(ranks.__getitem__, points))
 
     def _covers(self, ranks) -> bool:

@@ -221,10 +221,17 @@ def mahavier_enumerate(G: FiniteRelation, m: int, limit: int | None = None) -> l
 def walks_from(G: FiniteRelation, start: int, steps: int) -> Iterator[tuple[int, ...]]:
     """All walks of exactly `steps` steps from a point, lexicographic.
 
-    The depth-first walk keeps an explicit stack, so walks of any length are
-    enumerated without recursion.
+    The step count and the start are checked when called, not when the first
+    walk is asked for.  The depth-first walk keeps an explicit stack, so
+    walks of any length are enumerated without recursion.
     """
     _check_steps(steps, "steps")
+    if not 0 <= start < G.space.size:
+        raise ValueError("point outside the space")
+    return _walks_from(G, start, steps)
+
+
+def _walks_from(G: FiniteRelation, start: int, steps: int) -> Iterator[tuple[int, ...]]:
     if steps == 0:
         yield (start,)
         return

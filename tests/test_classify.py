@@ -269,6 +269,13 @@ class TestBranchCover:
         with pytest.raises(IllegalPointError):
             minimal_dense_branch_cover(PAIR_LOOP, 1)
 
+    def test_start_outside_the_space_rejected(self):
+        # refused as outside the space, not reported as an illegal point
+        for x in (-1, 2, 9):
+            with pytest.raises(ValueError, match="^point outside the space$") as err:
+                minimal_dense_branch_cover(PAIR_LOOP, x)
+            assert not isinstance(err.value, IllegalPointError)
+
     def test_cover_impossible_is_certified(self):
         # the sink cannot see the source, so no walk family from it is dense
         res = minimal_dense_branch_cover(PAIR_SINK, 1)

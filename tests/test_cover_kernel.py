@@ -315,14 +315,80 @@ def test_eps_net_keeps_one_whole_set_answer():
 
 
 def test_eps_net_runs_the_whole_set_cover_once():
+    # the whole index set is covered once and its answer kept; a set of fewer
+    # extents than the net's count makes no covering call at all.  Each extent
+    # reaches 1/8 + 2 eps of [0, 1]: 5/8 at eps 1/4, so two extents may cover
+    # it, and 1/4 at eps 1/16, so not even all three can
     sp = Space1D(intervals=[(0, 1)])
-    for eps, want in ((F(1, 4), True), (F(1, 16), False)):
+    for eps, want, least in ((F(1, 4), True, 2), (F(1, 16), False, 4)):
         net = EpsNet(sp, [(0, F(1, 8)), (F(1, 2), F(5, 8)), (F(7, 8), 1)], eps)
+        assert net._least == least
         net._frame = counted = CountedFrame(net._frame)
         assert [net.dense(frozenset({0, 1, 2})) for _ in range(3)] == [want] * 3
         assert counted.calls == 1
+        assert net.dense(frozenset({1})) is False
+        assert counted.calls == 1
         assert net.dense(frozenset({0, 2})) is False
-        assert counted.calls == 2
+        assert counted.calls == (2 if least <= 2 else 1)
+
+
+def tight_net(rng):
+    """A net on one interval whose first m extents are points 2 eps apart.
+
+    Those m points cover the interval, and their reaches (2 eps each) sum to
+    its length exactly, so a count that undercounts reaches refuses them.
+    The other extents are points too, so none lends the count a wider reach.
+    """
+    a, b = sorted(rng.sample(range(4 * DEN + 1), 2))
+    lo, hi = F(a, DEN), F(b, DEN)
+    m = rng.randint(1, 6)
+    eps = (hi - lo) / (2 * m)
+    tiles = [lo + (2 * j + 1) * eps for j in range(m)]
+    others = [F(rng.randint(a, b), DEN) for _ in range(rng.randint(0, 4))]
+    space = Space1D(intervals=[(lo, hi)])
+    return EpsNet(space, [(p, p) for p in tiles + others], eps), frozenset(range(m))
+
+
+def test_eps_net_count_refusal_matches_the_region_route():
+    # the count refuses a set whose widest reaches fall short of the space's
+    # length; it must never refuse a set the covering test accepts (a tight
+    # net's tiling points are such a set), and on a space of isolated points
+    # only (length 0) it must never fire
+    rng = random.Random(69)
+    counted = refused = isolated_cases = 0
+    for trial in range(500):
+        queries = []
+        if trial % 5 == 1:
+            net, tiles = tight_net(rng)
+            queries.append(tiles)
+        else:
+            if trial % 5 == 0:
+                marks = rng.sample(range(4 * DEN + 1), rng.randint(1, 6))
+                space = Space1D(isolated=[F(m, DEN) for m in marks])
+            else:
+                space = random_space(rng)
+            comps = space.intervals + tuple((p, p) for p in space.isolated)
+            extents = random_extents(rng, space, rng.randint(1, 10))
+            for i in range(len(extents)):
+                if rng.random() < 0.15:
+                    extents[i] = rng.choice(comps)  # full width, or an isolated point
+            eps = rng.choice([F(1, 64), F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2), F(1), F(5)])
+            net = EpsNet(space, extents, eps)
+        n = net.size
+        queries += [frozenset(rng.sample(range(n), k)) for k in range(n + 1)]
+        for points in queries:
+            got = net.dense(points)
+            assert got == ref_net_dense(net, points), (net.space, net.extents, net.eps, points)
+            assert got == eps_dense(net.space, Region1D(net.extents[i] for i in points), net.eps)
+            counted += len(points) < min(net._least, n)
+            refused += not got and bool(net.space.intervals)
+            if not net.space.intervals:
+                isolated_cases += 1
+                assert net._least == 0
+        if trial % 5 == 1:
+            assert net.dense(tiles)
+    assert isolated_cases > 200
+    assert counted * 3 > refused  # the count makes a large share of the refusals
 
 
 def test_density_predicates_refuse_points_outside_the_space():

@@ -233,6 +233,18 @@ def recursive_walks(G, start, steps):
             for rest in recursive_walks(G, nxt, steps - 1)]
 
 
+def test_walks_from_checks_its_arguments_when_called():
+    # the refusals come from the call itself, before any walk is asked for
+    with pytest.raises(TypeError, match="^steps must be an int, not float$"):
+        walks_from(CYCLE3, 0, 1.5)
+    with pytest.raises(ValueError, match="^steps must be non-negative$"):
+        walks_from(CYCLE3, 0, -1)
+    for start in (-1, 3, 7):  # -1 would walk from the last point, 7 would raise IndexError
+        with pytest.raises(ValueError, match="^point outside the space$"):
+            walks_from(CYCLE3, start, 1)
+    assert list(walks_from(CYCLE3, 2, 1)) == [(2, 0)]
+
+
 def test_walks_from_matches_recursion_on_random(rng):
     for _ in range(100):
         G = make_random_relation(rng, max_points=4)

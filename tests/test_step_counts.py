@@ -43,7 +43,7 @@ CALLS = [
     ("mahavier_count", "m", 1, lambda m: finite.mahavier_count(PATH, m)),
     ("mahavier_enumerate", "m", 1, lambda m: finite.mahavier_enumerate(PATH, m)),
     ("mahavier_enumerate limit", "limit", 0, lambda k: finite.mahavier_enumerate(PATH, 1, k)),
-    ("walks_from", "steps", 0, lambda s: list(finite.walks_from(PATH, 0, s))),
+    ("walks_from", "steps", 0, lambda s: finite.walks_from(PATH, 0, s)),
 ]
 OPEN_ENDED = {"reach", "reach_chain", "mahavier_enumerate limit"}  # None runs to stabilisation, or lists every walk
 IDS = [name for name, _, _, _ in CALLS]
