@@ -8,8 +8,9 @@ at a finite horizon the answer says so instead of guessing.
 
 Each primitive computes one row (its x-range, end values and slope) when it
 is built, and each relation sorts its primitives' rows once into a private
-table, so successors, images and discretize bisect to the rows that can meet
-a point or a window instead of scanning every primitive.
+table.  One sweep of the table gives successors, images and discretize's
+edges, bisecting to the rows that can meet a point or a window instead of
+scanning every primitive.
 
 The walk searches and the reach chases run in a `_Frame`: every value they
 meet within their horizon is n/S for one scale S = D * q**horizon (see
@@ -146,19 +147,20 @@ class _PrimitiveTable:
     A relation's own table holds its primitives' rows in Fractions (see
     `_window_image`), with `denominator` and `q` the least common
     denominators of their ends and of their slopes.  `scaled(S)` gives the
-    table a `_Frame` runs on, which alone answers `at` and `choices`: each
-    row times S, as ints (ax, bx, ay, by, num, den), the slope num/den in
-    lowest terms (num None for a column).  The one scaled table held is
-    reused while its scale is a multiple of the S asked for.  Each point's
-    successor list is memoised per step for the life of the table, so every
-    search on the table shares it, whatever order the searches come in.
+    table a `_Frame` runs on, which alone answers `windows`, `at` and
+    `choices`: each row times S, as ints (ax, bx, ay, by, num, den), the
+    slope num/den in lowest terms (num None for a column).  `windows` is the
+    one sweep that images, `discretize` and successor lists read.  The one
+    scaled table held is reused while its scale is a multiple of the S asked
+    for.  Each point's successor list is memoised per step for the life of
+    the table, so every search on the table shares it, whatever order the
+    searches come in.
     """
 
-    __slots__ = ("rows", "starts", "memo", "denominator", "q", "_scaled")
+    __slots__ = ("rows", "memo", "denominator", "q", "_scaled")
 
     def __init__(self, rows: Sequence[tuple]):
         self.rows = rows = sorted(rows, key=_LO)
-        self.starts = [row[0] for row in rows]
         self.memo: dict[object, dict] = {}  # step -> {point: sorted successors}
         self.denominator = math.lcm(*(v.denominator for row in rows for v in row[:4]))
         self.q = math.lcm(*(row[4].denominator for row in rows if row[4] is not None))
@@ -175,20 +177,41 @@ class _PrimitiveTable:
             ]))
         return held
 
-    def at(self, p) -> tuple[set, list[int]]:
-        """(values of the non-vertical rows at p, indices of the vertical rows at p), exact in a frame."""
-        values = set()
-        columns: list[int] = []
-        rows = self.rows
-        for i in range(bisect.bisect_right(self.starts, p)):
-            ax, bx, ay, _, num, den = rows[i]
-            if bx < p:
-                continue
-            if num is None:
-                columns.append(i)
-            else:
-                values.add(ay + (p - ax) * num // den if num else ay)
-        return values, columns
+    def windows(self, pieces: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+        """(j, lo, hi) for each row, in order, and each piece j it meets, [lo, hi] its image of piece j.
+
+        The image is `_window_image`'s, on ints: the pieces are sorted closed
+        ranges of a frame's ints, disjoint or touching, and the frame makes a
+        sloped row's floor division exact.  Each row's first piece is one
+        bisect on from the previous row's.
+        """
+        out: list[tuple[int, int, int]] = []
+        count = len(pieces)
+        k = 0
+        for ax, bx, ay, by, num, den in self.rows:
+            k = j = bisect.bisect_left(pieces, ax, k, key=_HI)
+            if k == count:
+                break
+            while j < count and pieces[j][0] <= bx:
+                if num is None:
+                    out.append((j, ay, by))
+                elif not num:
+                    out.append((j, ay, ay))
+                else:
+                    lo, hi = pieces[j]
+                    yc = ay if lo <= ax else ay + (lo - ax) * num // den
+                    yd = by if hi >= bx else ay + (hi - ax) * num // den
+                    out.append((j, yc, yd) if num > 0 else (j, yd, yc))
+                j += 1
+        return out
+
+    def at(self, p) -> tuple[set, list[tuple[int, int]]]:
+        """(values of the non-vertical rows at p, ranges of the columns at p), from the sweep over (p, p).
+
+        Only a column's image of a point has lo < hi.
+        """
+        images = self.windows(((p, p),))
+        return {lo for _, lo, hi in images if lo == hi}, [(lo, hi) for _, lo, hi in images if lo < hi]
 
     def choices(self, p, step) -> list:
         """The sorted successors of p, with each column at p sampled on its grid.
@@ -202,8 +225,8 @@ class _PrimitiveTable:
         got = memo.get(p)
         if got is None:
             out, columns = self.at(p)
-            for i in columns:
-                out.update(_range_choices(*self.rows[i][2:4], step))
+            for lo, hi in columns:
+                out.update(_range_choices(lo, hi, step))
             got = memo[p] = sorted(out)
         return got
 
@@ -337,32 +360,15 @@ class _Frame:
 
 
 def sym_image(R: SymbolicRelation, A: Region1D) -> Region1D:
-    """Exact one-step image of a region.
+    """Exact one-step image of a region: the union of the row images of its pieces.
 
     R is a relation, imaged in a depth-one frame on A's ends, or a frame
-    whose ints A is in.  Rows come in order of x-range start, so the first
-    piece of A that can meet each row is found by one bisect from the
-    previous row's; the sweep walks forward while pieces start inside the
-    row's x-range.  A row whose whole x-range lies in a piece keeps its end
-    values.  The sweep inlines `_window_image`, saving a call per pair.
+    whose ints A is in.  The images come from the table's one sweep
+    (`_PrimitiveTable.windows`) and are merged in order.
     """
     frame = R if isinstance(R, _Frame) else _Frame(R, itertools.chain(*A.pieces), 1)
     pieces = A.pieces if frame is R else frame.pieces(A.pieces)
-    out: list[tuple[int, int]] = []
-    k = 0
-    for ax, bx, ay, by, num, den in frame._table.rows:
-        k = j = bisect.bisect_left(pieces, ax, k, key=_HI)
-        while j < len(pieces) and pieces[j][0] <= bx:
-            lo, hi = pieces[j]
-            j += 1
-            if num is None:
-                out.append((ay, by))
-            elif not num:
-                out.append((ay, ay))
-            else:
-                yc = ay if lo <= ax else ay + (lo - ax) * num // den
-                yd = by if hi >= bx else ay + (hi - ax) * num // den
-                out.append((yc, yd) if num > 0 else (yd, yc))
+    out = [(lo, hi) for _, lo, hi in frame._table.windows(pieces)]
     out.sort()
     image = Region1D._wrap(_merge(out))
     return image if frame is R else frame.exact_region(image)
@@ -494,30 +500,19 @@ def discretize(
     relation; positive ones need symbolic witnesses.  The returned eps-net
     predicate measures density of box unions at eps = delta.
 
-    Each row of the compiled table is swept column by column: over the cells
-    its x-range meets, its exact y-range within the column picks the rows it
-    meets, which is the closed segment-box test at O(cells + edges) per row.
-    The box count is checked against box_cap before any cell is built.  The
-    cells and rows are scaled into a depth-one `_Frame` on the cell ends,
-    exact for the one image each window takes, so the sweep compares and
-    divides ints.
+    The cells are the pieces of the table's one sweep
+    (`_PrimitiveTable.windows`): each row's exact image of each cell its
+    x-range meets picks the cells that image meets, which is the closed
+    segment-box test at O(cells + edges) per row.  The box count is checked
+    against box_cap before any cell is built.  The cells and rows are scaled
+    into a depth-one `_Frame` on the cell ends, exact for the one image each
+    window takes, so the sweep compares and divides ints.
     """
+    _check_steps(box_cap, "box_cap")
     cells = _capped_cells(R.space, _as_fraction(delta), box_cap)
     frame = _Frame(R, itertools.chain(*cells), 1)
     scaled = frame.pieces(cells)
-    edges = set()
-    for ax, bx, ay, by, num, den in frame._table.rows:
-        for i in _meeting(scaled, ax, bx):
-            if num is None:
-                ylo, yhi = ay, by
-            elif not num:
-                ylo = yhi = ay
-            else:
-                lo, hi = scaled[i]
-                yc = ay if lo <= ax else ay + (lo - ax) * num // den
-                yd = by if hi >= bx else ay + (hi - ax) * num // den
-                ylo, yhi = (yc, yd) if num > 0 else (yd, yc)
-            edges.update((i, j) for j in _meeting(scaled, ylo, yhi))
+    edges = {(i, j) for i, ylo, yhi in frame._table.windows(scaled) for j in _meeting(scaled, ylo, yhi)}
     labels = [f"b{i}" for i in range(len(cells))]
     space = FiniteSpace(labels)
     finite = FiniteRelation(space, edges)
@@ -540,7 +535,7 @@ def point_successors(
     p = _as_fraction(p)
     frame = _Frame(R, (p,), 1)
     values, columns = frame._table.at(_times(p, frame.scale))
-    return sorted(frame.exact(values)), [R._table.rows[i][2:4] for i in columns]
+    return sorted(frame.exact(values)), [frame.exact(column) for column in columns]
 
 
 def _range_choices(lo, hi, step) -> list:
@@ -589,10 +584,6 @@ class WalkSearchResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-    @property
-    def certainty(self) -> Certainty:
-        return Certainty.CERTIFIED if self.found else Certainty.UNKNOWN_AT_HORIZON
 
 
 class _SearchFrame(_Frame):
@@ -738,6 +729,7 @@ def bounded_walk_search(
     OrbitCover, so the density test and the gap-filling order cost O(log h)
     comparisons per node, plus an O(h) tuple copy.
     """
+    _check_steps(budget, "budget")
     frame = _SearchFrame(R, x, eps, horizon, choice_step)
     return _orbit_dfs(frame, budget, _dense_walk, _farthest_last)
 
@@ -759,6 +751,7 @@ def nondense_loop_search(
     bounded_walk_search, the orbit is an OrbitCover: O(log h) comparisons per
     node for the density test, plus an O(h) tuple copy.
     """
+    _check_steps(budget, "budget")
     frame = _SearchFrame(R, x, eps, horizon, choice_step)
     return _orbit_dfs(frame, budget, _nondense_loop, memo_first=False)
 
@@ -780,6 +773,8 @@ def sym_branch_cover(
     The budget bounds both the nodes of the walk search and the density
     tests of the cover selection after it.
     """
+    _check_steps(budget, "budget")
+    _check_steps(max_candidates, "max_candidates")
     frame = _SearchFrame(R, x, eps, horizon, choice_step)
     # every visited state contributes its orbit; a revisit with fewer steps
     # used gets re-explored, so walks achieving any maximal orbit survive the

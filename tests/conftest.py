@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from crdyn import gallery
 from crdyn.finite import FiniteRelation, FiniteSpace
+from crdyn.symbolic import SymbolicRelation
 
 
 def make_random_relation(rng: random.Random, max_points: int = 7) -> FiniteRelation:
@@ -25,6 +27,16 @@ def make_random_function(rng: random.Random, max_points: int = 7) -> FiniteRelat
     n = rng.randint(1, max_points)
     edges = {(a, rng.randrange(n)) for a in range(n)}
     return FiniteRelation(FiniteSpace([str(i) for i in range(n)]), edges)
+
+
+def interval_relations() -> list[tuple[str, SymbolicRelation]]:
+    """(name, relation) for every gallery instance on an interval space, in gallery order."""
+    out = []
+    for name in gallery.names():
+        relation = gallery.build(name).relation
+        if isinstance(relation, SymbolicRelation):
+            out.append((name, relation))
+    return out
 
 
 @pytest.fixture

@@ -261,8 +261,8 @@ def test_criterion_08_exhura_certificate_and_search():
         res = bounded_walk_search(R, F(k, 32), F(1, 32), 300, budget=30000)
         if res.found:
             failures.append(f"unexpected dense walk from {F(k, 32)}")
-        elif res.certainty is not Certainty.UNKNOWN_AT_HORIZON:
-            failures.append("non-find must be reported unknown-at-horizon")
+        elif res.status not in ("exhausted", "budget"):
+            failures.append("a non-find must report the family exhausted or the budget hit")
     _report(8, "transitivity certified on the grid; no dense walk from 33 starts", t0, 2.0, failures)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from crdyn import gallery
+from conftest import interval_relations
 from crdyn.region import Region1D, Space1D, grid_cells
 from crdyn.symbolic import (
     GridTransitivityReport,
@@ -145,15 +145,6 @@ def ref_grid_transitivity_check(R, delta, horizon, positive_only=False):
 # inputs
 
 
-def interval_relations():
-    out = []
-    for name in gallery.names():
-        relation = gallery.build(name).relation
-        if isinstance(relation, SymbolicRelation):
-            out.append((name, relation))
-    return out
-
-
 def dyadic(rng, denominators=(1, 2, 4, 8)):
     return F(rng.randint(0, 8), rng.choice(denominators))
 
@@ -247,7 +238,7 @@ class TestAgainstReference:
 class TestTable:
     def test_one_row_per_primitive_sorted_by_start(self):
         R = random_relation(99, 40)
-        starts = R._table.starts
+        starts = [row[0] for row in R._table.rows]
         assert starts == sorted(starts)
         assert len(R._table.rows) == len(R.primitives)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_random_relation
+from conftest import interval_relations, make_random_relation
 from crdyn import gallery, symbolic
 from crdyn.classify import (
     Certainty,
@@ -569,15 +569,6 @@ def kernel_calls(monkeypatch):
         return out
 
     return take
-
-
-def interval_relations():
-    out = []
-    for name in gallery.names():
-        relation = gallery.build(name).relation
-        if isinstance(relation, SymbolicRelation):
-            out.append((name, relation))
-    return out
 
 
 def start_regions(R):

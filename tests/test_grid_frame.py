@@ -15,9 +15,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import interval_relations
 from crdyn.symbolic import discretize, grid_transitivity_check
 from fraction_reference import outcome, ref_discretize
-from test_fold_reference import interval_relations, ref_grid_transitivity_check
+from test_fold_reference import ref_grid_transitivity_check
 from test_integer_frame import random_integer_slope_relation
 from test_rational_frame import random_rational_slope_relation
 

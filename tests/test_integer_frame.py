@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import interval_relations
 from crdyn import gallery
 from crdyn.region import Region1D, Space1D, _CoverFrame
 from crdyn.symbolic import (
@@ -42,13 +43,9 @@ def ref_bad_gap(components, eps, p, q):
 # inputs
 
 
-def interval_relations():
-    out = []
-    for name in gallery.names():
-        inst = gallery.build(name)
-        if isinstance(inst.relation, SymbolicRelation):
-            out.append((name, inst))
-    return out
+def interval_instances():
+    """(name, instance) for every gallery instance on an interval space, in gallery order."""
+    return [(name, gallery.build(name)) for name, _ in interval_relations()]
 
 
 def gallery_starts(inst):
@@ -104,7 +101,7 @@ RANDOM = [(f"random{seed}", random_integer_slope_relation(seed)) for seed in ran
 # the searches
 
 
-@pytest.mark.parametrize("name,inst", interval_relations(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("name,inst", interval_instances(), ids=lambda v: v if isinstance(v, str) else "")
 def test_gallery_relations(name, inst):
     for eps in (F(1, 8), F(1, 16), F(1, 32)):
         for horizon in (20, 50, 100):

@@ -11,10 +11,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from crdyn import gallery
+from conftest import interval_relations
 from crdyn.region import OrbitCover, Region1D, Space1D, eps_dense
 from crdyn.symbolic import (
-    SymbolicRelation,
     WalkSearchResult,
     bounded_walk_search,
     nondense_loop_search,
@@ -177,15 +176,6 @@ def test_rejects_non_positive_eps():
 
 # ---------------------------------------------------------------------------
 # the searches against the references on the gallery's interval relations
-
-
-def interval_relations() -> list[tuple[str, SymbolicRelation]]:
-    out = []
-    for name in gallery.names():
-        relation = gallery.build(name).relation
-        if isinstance(relation, SymbolicRelation):
-            out.append((name, relation))
-    return out
 
 
 HORIZONS = (20, 50, 100)

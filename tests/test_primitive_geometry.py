@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from crdyn import gallery
+from conftest import interval_relations
 from crdyn.builders import (
     cantor_staircase,
     left_half_tent_graph,
@@ -126,15 +126,6 @@ def ref_map_value(segments, t):
 
 # ---------------------------------------------------------------------------
 # inputs
-
-
-def interval_relations():
-    out = []
-    for name in gallery.names():
-        relation = gallery.build(name).relation
-        if isinstance(relation, SymbolicRelation):
-            out.append((name, relation))
-    return out
 
 
 def windows(prim):

@@ -6,9 +6,13 @@ rows below are written from the coordinates alone.  With `image_over`
 replaced by a stub that raises, every gallery interval relation must still
 build, image, search and discretize to the same answers, and the builders'
 map helpers must still evaluate: nothing but the rows carries geometry.
+On a frame's ints one sweep of the table (`_PrimitiveTable.windows`) gives
+every row's image of every window: images, `discretize` and successor
+lists read it, and it agrees with the Fraction window image of each pair.
 """
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -23,14 +27,20 @@ from crdyn.symbolic import (
     Segment,
     SinglePoint,
     SymbolicRelation,
+    _Frame,
+    _PrimitiveTable,
+    _window_image,
     bounded_walk_search,
     discretize,
     nondense_loop_search,
     point_successors,
     projections,
+    successor_choices,
     sym_image,
     sym_preimage,
 )
+from test_integer_frame import random_integer_slope_relation
+from test_rational_frame import random_rational_slope_relation
 
 
 def ref_row(prim):
@@ -160,6 +170,71 @@ def test_no_algorithm_reads_image_over(monkeypatch):
         R = gallery._BUILDERS[name]().relation  # a fresh build, not the cached one
         assert _answers(R) == expected[name], name
     assert (forward_orbit(tent, F(1, 3), 6), map_value(tent, F(1, 4)), map_preimages(tent, F(1, 2))) == maps
+
+
+# ---------------------------------------------------------------------------
+# the one sweep
+
+
+def test_images_discretize_and_successor_lists_read_the_one_sweep(monkeypatch):
+    swept = []
+    sweep = _PrimitiveTable.windows
+
+    def counted(self, pieces):
+        swept.append(len(pieces))
+        return sweep(self, pieces)
+
+    monkeypatch.setattr(_PrimitiveTable, "windows", counted)
+    R = gallery._BUILDERS["ex2"]().relation  # a fresh table, holding no successor list yet
+    whole = R.space.region()
+    runs = [
+        (lambda: sym_image(R, whole), len(whole.pieces)),
+        (lambda: sym_preimage(R, whole), len(whole.pieces)),
+        (lambda: discretize(R, F(1, 8))[0].space.size, None),
+        (lambda: point_successors(R, F(1, 3)), 1),
+        (lambda: successor_choices(R, F(1, 3), F(1, 8)), 1),
+    ]
+    for run, pieces in runs:
+        before = len(swept)
+        got = run()
+        assert swept[before:] == [got if pieces is None else pieces]
+
+
+SEEDED = [(f"int{seed}", random_integer_slope_relation(seed)) for seed in range(10)] + [
+    (f"rat{seed}", random_rational_slope_relation(seed)) for seed in range(10)
+]
+
+
+def sweep_pieces(R, rng):
+    """Sorted closed pieces, in and out of the space: disjoint intervals and
+    points, touching grid cells, and one point at a time."""
+    values = sorted({F(k, d) for d in (1, 3, 4, 6, 7) for k in range(-d, 6 * d + 1)})
+    for p in rng.sample(values, 3):
+        yield [(p, p)]
+    for _ in range(6):
+        ends = iter(sorted(rng.sample(values, 12)))
+        pieces = []
+        for lo in ends:
+            pieces.append((lo, lo) if rng.random() < 0.3 else (lo, next(ends, lo)))
+        yield pieces
+    for delta in (F(1, 3), F(2, 7)):
+        yield grid_cells(R.space, delta)
+
+
+@pytest.mark.parametrize("name,R", SEEDED, ids=[name for name, _ in SEEDED])
+def test_the_sweep_is_the_window_image_of_every_pair(name, R):
+    rng = random.Random(name)
+    for pieces in sweep_pieces(R, rng):
+        frame = _Frame(R, itertools.chain(*pieces), 1)
+        S = frame.scale
+        got = [(j, F(lo, S), F(hi, S)) for j, lo, hi in frame._table.windows(frame.pieces(pieces))]
+        want = [
+            (j, *image)
+            for row in R._table.rows
+            for j, (lo, hi) in enumerate(pieces)
+            if (image := _window_image(row, lo, hi)) is not None
+        ]
+        assert got == want, pieces
 
 
 # ---------------------------------------------------------------------------

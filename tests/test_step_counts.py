@@ -8,7 +8,9 @@ both with one TypeError that names the parameter, raised by
 ValueError: a negative one (`reach` and `reach_chain` used to answer it as
 0), or a walk count `m` of 0.  Where None means "to stabilisation"
 (`reach`, `reach_chain`) or "every walk" (`mahavier_enumerate`'s `limit`)
-it still runs.
+it still runs.  Node budgets and size caps are counts too, refused the
+same way: a search's `budget`, `sym_branch_cover`'s `max_candidates` and
+`discretize`'s `box_cap` (a cap of True used to pass for 1).
 """
 
 from fractions import Fraction as F
@@ -23,6 +25,19 @@ START = Region1D.point(F(1, 8))
 G = finite.FiniteRelation(finite.FiniteSpace(["a", "b", "c"]), [(0, 1), (1, 2), (2, 0)])
 # walks are enumerated on a path, whose walks all end, so a count no walk length equals cannot hang a search
 PATH = finite.FiniteRelation(finite.FiniteSpace(["a", "b", "c"]), [(0, 1), (1, 2)])
+
+
+def stopped(call):
+    """The call, with a budget stop counted as a run: a small cap may refuse the work, not the count."""
+
+    def run(n):
+        try:
+            call(n)
+        except classify.BudgetExceededError:
+            pass
+
+    return run
+
 
 # entry point, its step parameter, that parameter's least value, and a call with its value
 CALLS = [
@@ -44,6 +59,12 @@ CALLS = [
     ("mahavier_enumerate", "m", 1, lambda m: finite.mahavier_enumerate(PATH, m)),
     ("mahavier_enumerate limit", "limit", 0, lambda k: finite.mahavier_enumerate(PATH, 1, k)),
     ("walks_from", "steps", 0, lambda s: finite.walks_from(PATH, 0, s)),
+    ("bounded_walk_search budget", "budget", 0, lambda b: symbolic.bounded_walk_search(R, F(1, 8), F(1, 4), 3, budget=b)),
+    ("nondense_loop_search budget", "budget", 0, lambda b: symbolic.nondense_loop_search(R, F(1, 8), F(1, 4), 3, budget=b)),
+    ("sym_branch_cover budget", "budget", 0, stopped(lambda b: symbolic.sym_branch_cover(R, F(1, 8), F(1, 4), 3, budget=b))),
+    ("sym_branch_cover max_candidates", "max_candidates", 0,
+     stopped(lambda c: symbolic.sym_branch_cover(R, F(1, 8), F(1, 4), 3, max_candidates=c))),
+    ("discretize box_cap", "box_cap", 0, stopped(lambda c: symbolic.discretize(R, F(1, 4), c))),
 ]
 OPEN_ENDED = {"reach", "reach_chain", "mahavier_enumerate limit"}  # None runs to stabilisation, or lists every walk
 IDS = [name for name, _, _, _ in CALLS]
