@@ -22,11 +22,13 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .density import DensityPredicate, Exhaustive
-from .finite import FiniteRelation, Walk, _check_steps, inverse_relation
+from .finite import FiniteRelation, Walk, _check_point, _check_steps, inverse_relation
 
 OMEGA = None  # sentinel accepted by reach() for the stabilized variant
 _SEARCH_BUDGET = 20000  # default state budget of the finite bounded searches
 _ORACLE_STATE_CAP = 500000  # (point, visited set) states the brute-force oracle may hold
+_COVER_PATH_CAP = 4096  # condensation paths the exact branch cover enumerates before it turns greedy
+_COVER_CANDIDATE_CAP = 64  # distinct orbit sets the exact branch cover may choose among
 
 
 class BudgetExceededError(RuntimeError):
@@ -267,8 +269,7 @@ def _every_walk_visits_all(G: FiniteRelation, cond: Condensation) -> frozenset:
 
 def _reach_layers(G: FiniteRelation, x: int) -> Iterator[frozenset]:
     """Breadth-first layers from x: {x}, then the points first reached at each step."""
-    if not 0 <= x < G.space.size:
-        raise ValueError("point outside the space")
+    _check_point(G, x)
     seen = {x}
     layer = frozenset(seen)
     while layer:
@@ -317,8 +318,7 @@ def orbit_union(G: FiniteRelation, x: int) -> frozenset:
 
     From the condensation: the legal components x's reaches in the DAG; illegal ones reach none.
     """
-    if not 0 <= x < G.space.size:
-        raise ValueError("point outside the space")
+    _check_point(G, x)
     cond = _analysis(G)
     live = cond.reach_live
     todo = [c for c in (cond.scc_of[x],) if live[c]]
@@ -434,8 +434,8 @@ def classify_point(
     Under an eps-net predicate the trans1/trans2 decisions are bounded searches
     and the tag may come back UNKNOWN_AT_HORIZON.
     """
-    if not 0 <= x < G.space.size:
-        raise ValueError("point outside the space")
+    _check_point(G, x)
+    _check_steps(search_budget, "search_budget")
     dense = _density(G, dense)
     if x not in _analysis(G).legal:
         return _ILLEGAL
@@ -469,12 +469,11 @@ def oracle_classify(
     dense: DensityPredicate | None = None,
 ) -> ClassificationTag:
     """Brute-force classification via (point, visited set) states; |X| <= 16."""
+    _check_point(G, x)
     n = G.space.size
     if n > 16:
         raise BudgetExceededError("oracle is limited to 16 points")
     dense = _density(G, dense)
-    if not 0 <= x < n:
-        raise ValueError("point outside the space")
     point_legal = [_reaches_cycle(G, v) for v in range(n)]
     if not point_legal[x]:
         return ClassificationTag(Verdict.ILLEGAL)
@@ -719,19 +718,18 @@ def minimal_dense_branch_cover(
     x: int,
     dense: DensityPredicate | None = None,
     horizon: int = 1000,
-    max_paths: int = 4096,
-    max_candidates: int = 64,
 ) -> BranchCoverResult:
     """Minimum number of length-<=horizon walks from x with a dense orbit union.
 
-    Exact (branch and bound over condensation paths) when the path family is
-    small; greedy upper bound otherwise, flagged UNKNOWN_AT_HORIZON unless it
-    matches the structural lower bound.
+    Exact (branch and bound over condensation paths) when the path family
+    has at most `_COVER_PATH_CAP` paths; greedy upper bound otherwise,
+    flagged UNKNOWN_AT_HORIZON unless it matches the structural lower bound.
+    More than `_COVER_CANDIDATE_CAP` distinct orbit sets on the exact route
+    raise BudgetExceededError.
     """
+    _check_point(G, x)
     _check_steps(horizon, "horizon")
     dense = _density(G, dense)
-    if not 0 <= x < G.space.size:
-        raise ValueError("point outside the space")
     cond = _analysis(G)
     if x not in cond.legal:
         raise IllegalPointError(f"point {x} is illegal; branch covers need a legal start")
@@ -748,7 +746,7 @@ def minimal_dense_branch_cover(
         else:
             for nxt in succs:
                 stack.append(path + [nxt])
-        if len(paths) + len(stack) > max_paths:
+        if len(paths) + len(stack) > _COVER_PATH_CAP:
             overflow = True
             break
 
@@ -782,7 +780,7 @@ def minimal_dense_branch_cover(
         if s not in seen_sets:
             seen_sets.add(s)
             deduped.append((s, w))
-    if len(deduped) > max_candidates:
+    if len(deduped) > _COVER_CANDIDATE_CAP:
         raise BudgetExceededError("too many distinct orbit candidates for exact cover search")
 
     achieved = _min_cover(deduped, dense.dense)

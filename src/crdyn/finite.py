@@ -60,13 +60,17 @@ class FiniteRelation:
     __slots__ = ("space", "edges", "_succ", "_pred", "_analysis")
 
     def __init__(self, space: FiniteSpace, edges: Iterable[tuple[int, int]]):
-        edges = frozenset((int(a), int(b)) for a, b in edges)
-        if not edges:
+        pairs = [(a, b) for a, b in edges]
+        if not pairs:
             raise InvalidInstanceError("relations are non-empty by definition")
         n = space.size
-        for a, b in edges:
+        # each given pair, before duplicates merge: (1, 1) must not hide a (1.0, 1) or (True, 1)
+        for a, b in pairs:
+            if type(a) is not int or type(b) is not int:  # a bool, a float or a str
+                raise InvalidInstanceError(f"edge ({a!r},{b!r}) has an endpoint that is not an int")
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidInstanceError(f"edge ({a},{b}) leaves the space")
+        edges = frozenset(pairs)
         self.space = space
         self.edges = edges
         succ: list[list[int]] = [[] for _ in range(n)]
@@ -135,6 +139,17 @@ def _check_steps(n, name: str, least: int = 0) -> None:
         raise TypeError(f"{name} must be an int, not {type(n).__name__}")
     if n < least:
         raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
+
+
+def _check_point(G: FiniteRelation, x, name: str = "point") -> None:
+    """Refuse a point that is not an int (a bool included) or not in G's space, naming it.
+
+    Every finite entry that takes a point calls this before anything else.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{name} must be an int, not {type(x).__name__}")
+    if not 0 <= x < G.space.size:
+        raise ValueError(f"{name} outside the space")
 
 
 def _steps(G: FiniteRelation, A: frozenset, n: int, neighbours) -> frozenset:
@@ -221,13 +236,12 @@ def mahavier_enumerate(G: FiniteRelation, m: int, limit: int | None = None) -> l
 def walks_from(G: FiniteRelation, start: int, steps: int) -> Iterator[tuple[int, ...]]:
     """All walks of exactly `steps` steps from a point, lexicographic.
 
-    The step count and the start are checked when called, not when the first
+    The start and the step count are checked when called, not when the first
     walk is asked for.  The depth-first walk keeps an explicit stack, so
     walks of any length are enumerated without recursion.
     """
+    _check_point(G, start)
     _check_steps(steps, "steps")
-    if not 0 <= start < G.space.size:
-        raise ValueError("point outside the space")
     return _walks_from(G, start, steps)
 
 

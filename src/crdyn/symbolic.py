@@ -617,6 +617,7 @@ class _SearchFrame(_Frame):
 
 _PRUNE = object()  # a visit verdict: drop this state and keep searching
 _BUDGET = 100000  # the walk and loop searches' default node budget
+_COVER_CANDIDATE_CAP = 128  # undominated orbits the walk-cover selection may choose among
 
 
 def _descending(cover: OrbitCover, succs: list) -> list:
@@ -763,7 +764,6 @@ def sym_branch_cover(
     horizon: int,
     choice_step=None,
     budget: int = 50000,
-    max_candidates: int = 128,
 ) -> BranchCoverResult:
     """Minimum number of exact walks from x whose joint orbit is an eps-net.
 
@@ -771,10 +771,10 @@ def sym_branch_cover(
     choice family; the minimum is exact over that family, hence a certified
     upper bound for the relation and exact at this horizon and resolution.
     The budget bounds both the nodes of the walk search and the density
-    tests of the cover selection after it.
+    tests of the cover selection after it; more than `_COVER_CANDIDATE_CAP`
+    undominated orbits raise BudgetExceededError before the selection.
     """
     _check_steps(budget, "budget")
-    _check_steps(max_candidates, "max_candidates")
     frame = _SearchFrame(R, x, eps, horizon, choice_step)
     # every visited state contributes its orbit; a revisit with fewer steps
     # used gets re-explored, so walks achieving any maximal orbit survive the
@@ -799,7 +799,7 @@ def sym_branch_cover(
             continue
         kept = [(o, w) for o, w in kept if not (o < orbit)]
         kept.append((orbit, walk))
-    if len(kept) > max_candidates:
+    if len(kept) > _COVER_CANDIDATE_CAP:
         raise BudgetExceededError("too many candidate walks for branch cover search")
     tests = itertools.count(1)
 
@@ -862,13 +862,15 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
 
     Legal is certified when R is total or a non-dense loop from x is found,
     refuted with every type when x's images die out within the horizon, and
-    unknown otherwise.  A reach that stabilises below density refutes all
-    three types, since every orbit lies in the reach; a non-dense loop
-    (`nondense_loop_search`) is an infinite walk, so it refutes type 1 and
-    proves x legal.  The two certificates, an eps-dense reach for type 3 and
-    a walk from `bounded_walk_search` for type 2, need every point they pass
-    through legal, because a finite walk may end where no infinite walk goes
-    on; they stay unknown unless R is total.
+    unknown otherwise; an image equal to the one before it ends that chase,
+    since every later image is the same non-empty set.  A reach that
+    stabilises below density refutes all three types, since every orbit lies
+    in the reach; a non-dense loop (`nondense_loop_search`) is an infinite
+    walk, so it refutes type 1 and proves x legal.  The two certificates, an
+    eps-dense reach for type 3 and a walk from `bounded_walk_search` for
+    type 2, need every point they pass through legal, because a finite walk
+    may end where no infinite walk goes on; they stay unknown unless R is
+    total.
 
     The query is checked once, by the one `_SearchFrame` of the tag, whose
     depth is the horizon: the images, the reach chain, its density tests and
@@ -883,11 +885,14 @@ def classify_interval_point(R: SymbolicRelation, x, eps, horizon: int) -> Interv
     else:
         images = start
         for n in range(1, horizon + 1):
-            images = sym_image(frame, images)
-            if images.is_empty():
+            nxt = sym_image(frame, images)
+            if nxt.is_empty():
                 return IntervalPointTag(refuted, refuted, refuted, refuted, dies_at=n, claims=(
                     Claim("legal", refuted.value, "die-out", f"images die out at step {n}"),
                     Claim("verdict", "illegal", "die-out")))
+            if nxt == images:  # every later image is this one, never empty
+                break
+            images = nxt
         legal = Claim("legal", unknown.value, "die-out", "images stay non-empty")
     # only on a total relation is every point legal and does every walk go
     # on: only there do a dense reach and a dense walk certify

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .classify import _SEARCH_BUDGET, Condensation, _analysis, _decide, _density, orbit_union, reach
 from .density import DensityPredicate
-from .finite import FiniteRelation, _check_steps, image
+from .finite import FiniteRelation, _check_point, _check_steps, image
 
 
 class TransTree:
@@ -22,8 +22,7 @@ class TransTree:
     __slots__ = ("relation", "root", "depth", "levels")
 
     def __init__(self, relation: FiniteRelation, root: int, depth: int):
-        if not 0 <= root < relation.space.size:
-            raise ValueError("root outside the space")
+        _check_point(relation, root, "root")
         _check_steps(depth, "depth")
         self.relation = relation
         self.root = root
@@ -110,6 +109,7 @@ def _finite_branch_stats(
 
 def tree_height(G: FiniteRelation, x: int) -> int | None:
     """Height of the full tree: None when infinite (legal root)."""
+    _check_point(G, x)
     a = _analysis(G)
     if x in a.legal:
         return None
@@ -130,6 +130,8 @@ def branch_summary(
     routine answers both views.  One reach BFS serves the cover and the
     finite-branch counts.
     """
+    _check_point(G, x)
+    _check_steps(search_budget, "search_budget")
     dense = _density(G, dense)
     a = _analysis(G)
     is_legal = x in a.legal

@@ -18,6 +18,9 @@ searches, regions and reports for the chases, and Fractions in every answer.
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
+from crdyn import symbolic
 from crdyn.classify import BranchCoverResult, BudgetExceededError, Certainty, _min_cover
 from crdyn.density import EpsNet
 from crdyn.finite import FiniteRelation, FiniteSpace
@@ -228,7 +231,9 @@ def assert_same_searches(R, x, eps, horizon, step=None, budget=400):
         if got.witness is not None:
             assert_fractions(got.witness)
     # few candidates keep the exact cover selection, exponential in them, small
-    got = outcome(lambda: sym_branch_cover(R, x, eps, horizon, step, budget, max_candidates=10))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symbolic, "_COVER_CANDIDATE_CAP", 10)
+        got = outcome(lambda: sym_branch_cover(R, x, eps, horizon, step, budget))
     want = outcome(lambda: ref_sym_branch_cover(R, x, eps, horizon, step, budget, max_candidates=10))
     assert got == want, ("sym_branch_cover", x, eps, horizon, step)
     if isinstance(got, BranchCoverResult):

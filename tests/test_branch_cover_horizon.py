@@ -1,6 +1,6 @@
 """The horizon-limited routes of minimal_dense_branch_cover.
 
-When the condensation has more than max_paths paths, a greedy walk family
+When the condensation has more than `_COVER_PATH_CAP` paths, a greedy walk family
 gives an upper bound; when the horizon cuts a touring walk short, the
 realized walks give one.  Either bound is certified only when it cannot be
 beaten: the greedy one at size 1, the truncated one when it meets the
@@ -14,6 +14,7 @@ import random
 import pytest
 
 from conftest import make_random_relation
+from crdyn import classify
 from crdyn.classify import (
     BudgetExceededError,
     Certainty,
@@ -24,6 +25,13 @@ from crdyn.density import Exhaustive
 from crdyn.finite import FiniteRelation, FiniteSpace
 
 LONG = 1000  # longer than any tour of a 7-point relation
+
+
+def greedy_cover(*args, **kwargs):
+    """minimal_dense_branch_cover with a path cap of 0, so every call takes the greedy route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_COVER_PATH_CAP", 0)
+        return minimal_dense_branch_cover(*args, **kwargs)
 
 
 class Covers:
@@ -74,28 +82,28 @@ def check_bound(G, x, dense, horizon, res, exact):
 
 
 # ---------------------------------------------------------------------------
-# the greedy route: more condensation paths than max_paths
+# the greedy route: more condensation paths than the cap
 
 
 def test_greedy_single_walk_is_certified():
-    res = minimal_dense_branch_cover(CYCLE3, 0, max_paths=0)
+    res = greedy_cover(CYCLE3, 0)
     assert (res.size, points(res), res.certainty) == (1, [(0, 1, 2)], Certainty.CERTIFIED)
 
 
 def test_greedy_family_of_two_stays_unknown():
-    res = minimal_dense_branch_cover(FORK, 0, max_paths=0)
+    res = greedy_cover(FORK, 0)
     assert (res.size, points(res), res.certainty) == (2, [(0, 1), (0, 2)], Certainty.UNKNOWN_AT_HORIZON)
     # two is the exact minimum, but the greedy route cannot know it
     assert minimal_dense_branch_cover(FORK, 0).size == 2
 
 
 def test_greedy_failure_with_a_sparse_reach_is_certified_impossible():
-    res = minimal_dense_branch_cover(PAIR_SINK, 1, max_paths=0)
+    res = greedy_cover(PAIR_SINK, 1)
     assert (res.size, res.certainty) == (None, Certainty.CERTIFIED)
 
 
 def test_greedy_failure_with_a_dense_reach_stays_unknown():
-    res = minimal_dense_branch_cover(CYCLE3, 0, horizon=0, max_paths=0)
+    res = greedy_cover(CYCLE3, 0, horizon=0)
     assert (res.size, res.certainty) == (None, Certainty.UNKNOWN_AT_HORIZON)
 
 
@@ -123,20 +131,23 @@ def test_truncated_walks_that_cover_nothing_stay_unknown():
     assert (res.size, res.certainty) == (None, Certainty.UNKNOWN_AT_HORIZON)
 
 
-@pytest.mark.parametrize("max_paths", [4096, 0])
-def test_a_negative_horizon_is_refused(max_paths):
+@pytest.mark.parametrize("path_cap", [4096, 0])
+def test_a_negative_horizon_is_refused(path_cap, monkeypatch):
     # a one-point loop once answered size 1 with the 0-step walk (0,), certified
+    monkeypatch.setattr(classify, "_COVER_PATH_CAP", path_cap)
     loop = rel(["0"], [(0, 0)])
     for horizon in (-1, -5):
         with pytest.raises(ValueError, match="horizon must be non-negative"):
-            minimal_dense_branch_cover(loop, 0, horizon=horizon, max_paths=max_paths)
-    assert minimal_dense_branch_cover(loop, 0, horizon=0, max_paths=max_paths).size == 1
+            minimal_dense_branch_cover(loop, 0, horizon=horizon)
+    assert minimal_dense_branch_cover(loop, 0, horizon=0).size == 1
 
 
-def test_too_many_orbit_candidates_are_refused():
+def test_too_many_orbit_candidates_are_refused(monkeypatch):
+    monkeypatch.setattr(classify, "_COVER_CANDIDATE_CAP", 1)
     with pytest.raises(BudgetExceededError, match="too many distinct orbit candidates"):
-        minimal_dense_branch_cover(HUB, 0, max_candidates=1)
-    assert minimal_dense_branch_cover(HUB, 0, Covers(4, {0}), max_candidates=3).size == 1
+        minimal_dense_branch_cover(HUB, 0)
+    monkeypatch.setattr(classify, "_COVER_CANDIDATE_CAP", 3)
+    assert minimal_dense_branch_cover(HUB, 0, Covers(4, {0})).size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +164,12 @@ def test_horizon_limited_routes_never_contradict_the_exact_one():
         for dense in (Exhaustive(n), Covers(n, target)):
             for x in sorted(legal_by_cycle_reach(G)):
                 exact = minimal_dense_branch_cover(G, x, dense, horizon=LONG)
-                greedy = minimal_dense_branch_cover(G, x, dense, horizon=LONG, max_paths=0)
+                greedy = greedy_cover(G, x, dense, horizon=LONG)
                 check_bound(G, x, dense, LONG, greedy, exact)
                 if greedy.certainty is Certainty.CERTIFIED and greedy.size is not None:
                     assert greedy.size == 1
                 for horizon in (0, 1, 2, 3):
                     short = minimal_dense_branch_cover(G, x, dense, horizon=horizon)
                     check_bound(G, x, dense, horizon, short, exact)
-                    short_greedy = minimal_dense_branch_cover(G, x, dense, horizon=horizon, max_paths=0)
+                    short_greedy = greedy_cover(G, x, dense, horizon=horizon)
                     check_bound(G, x, dense, horizon, short_greedy, exact)

@@ -45,6 +45,16 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError):
             rel(["a"], [(0, 1)])
 
+    @pytest.mark.parametrize("end", [0.7, F(3, 2), "1", True], ids=["float", "Fraction", "str", "bool"])
+    def test_relation_rejects_an_endpoint_that_is_not_an_int(self, end):
+        # each was once truncated or coerced to an int: (0.7, 1) built the edge (0, 1)
+        for edge in ((end, 1), (1, end)):
+            with pytest.raises(InvalidInstanceError, match=r"^edge \(.*\) has an endpoint that is not an int$"):
+                rel(["a", "b"], [(0, 0), edge])
+
+    def test_relation_takes_list_pairs_as_tuples(self):
+        assert rel(["a", "b"], [[0, 1], [1, 1]]).edges == {(0, 1), (1, 1)}
+
     def test_walk_checks_edges(self):
         Walk((0, 1, 2), CYCLE3)
         with pytest.raises(InvalidInstanceError):

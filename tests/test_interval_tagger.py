@@ -217,6 +217,27 @@ def test_dead_end_withholds_the_type3_and_type2_certificates():
     assert old["trans3-at-eps"] == old["trans2-at-eps"] == "certified"
 
 
+def test_images_stop_once_they_repeat(monkeypatch):
+    # G(2) = {2} u [0, 1] = G^2(2): the die-out chase stops there, not at the
+    # horizon, so the tag images twice for legality and twice for its reach
+    R = parse_instance(DEAD)
+    calls = []
+    image = symbolic.sym_image
+
+    def counted(*args):
+        calls.append(args)
+        return image(*args)
+
+    monkeypatch.setattr(symbolic, "sym_image", counted)
+    assert rows(R, 2, F(1, 2), 200) == [
+        ("legal", "certified", "a loop from the point is an infinite walk"),
+        ("trans3-at-eps", "unknown-at-horizon", "reach dense at step 1, legal set unknown"),
+        ("trans2-at-eps", "unknown-at-horizon", "witness of 1 steps, legal set unknown"),
+        ("trans1-at-eps", "refuted", "a non-dense looping walk exists"),
+    ]
+    assert len(calls) <= 4
+
+
 def test_legality_stays_unknown_without_a_loop():
     # x -> x/2 on [0, 1], and the isolated point 2 has no successor: the
     # walk from 1 halves forever, so it never dies and never loops

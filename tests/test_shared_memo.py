@@ -44,7 +44,9 @@ def fresh(name: str) -> SymbolicRelation:
 def branch_cover(R, x, step):
     # a small candidate cap keeps the cover selection short; a refusal is compared as a result
     try:
-        return sym_branch_cover(R, x, EPS, 4, step, budget=2000, max_candidates=16)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symbolic, "_COVER_CANDIDATE_CAP", 16)
+            return sym_branch_cover(R, x, EPS, 4, step, budget=2000)
     except BudgetExceededError as exc:
         return str(exc)
 
