@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .density import DensityPredicate, Exhaustive
-from .finite import FiniteRelation, Walk, _check_point, _check_steps, inverse_relation
+from .finite import FiniteRelation, Walk, _check_int, _check_point, _check_steps, inverse_relation
 
 OMEGA = None  # sentinel accepted by reach() for the stabilized variant
 _SEARCH_BUDGET = 20000  # default state budget of the finite bounded searches
@@ -305,7 +305,8 @@ def reach_chain(G: FiniteRelation, x: int, max_steps: int | None = None) -> list
 
 
 def reach_grade(G: FiniteRelation, x: int, dense: DensityPredicate) -> int | None:
-    """Least n >= 1 with a dense n-reach, or None when even the omega-reach is not dense."""
+    """Least n >= 1 with a dense n-reach, or None when even the omega-reach is not dense; `dense=None` is exhaustive."""
+    dense = _density(G, dense)
     for n, current in enumerate(_cumulative(_reach_layers(G, x))):
         if n and dense.dense(current):
             return n
@@ -535,10 +536,15 @@ _RANK = {
 }
 
 
-def _member(tag: ClassificationTag, level: int) -> tuple[bool | None, Certainty]:
-    """Type-`level` membership read from a tag; the one check of the level."""
+def _check_level(level, name: str = "level") -> None:
+    """Refuse a level that is not an int (a bool included), naming its parameter, or not 1, 2 or 3."""
+    _check_int(level, name)
     if level not in (1, 2, 3):
         raise ValueError("level must be 1, 2, or 3")
+
+
+def _member(tag: ClassificationTag, level: int) -> tuple[bool | None, Certainty]:
+    """Type-`level` membership read from a tag, for a level its caller has checked."""
     rank = _RANK[tag.verdict]
     if rank <= level:
         return True, Certainty.CERTIFIED
@@ -555,6 +561,7 @@ def membership(
     search_budget: int = _SEARCH_BUDGET,
 ) -> tuple[bool | None, Certainty]:
     """Is x a type-`level` transitive point?  (None, UNKNOWN...) if undecided."""
+    _check_level(level)
     return _member(classify_point(G, x, dense, search_budget), level)
 
 
@@ -564,9 +571,8 @@ def trans_set(
     dense: DensityPredicate | None = None,
 ) -> frozenset:
     """All points whose type-`level` membership is certified true."""
-    return frozenset(
-        x for x, tag in enumerate(classify_all(G, dense)) if _member(tag, level)[0]
-    )
+    _check_level(level)
+    return frozenset(x for x, tag in enumerate(classify_all(G, dense)) if _member(tag, level)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +816,7 @@ def do_transitive(
 
     Returns None when every membership at level k came back undecided.
     """
+    _check_level(k, "k")
     answers = {_member(tag, k)[0] for tag in classify_all(G, dense)}
     if True in answers:
         return True

@@ -15,17 +15,12 @@ import itertools
 import math
 from typing import Protocol, Sequence
 
+from .finite import _check_points, _check_steps
 from .region import Piece, Space1D, _CoverFrame, _as_fraction, _merge, _times
 
 
 class DensityPredicate(Protocol):
     def dense(self, points: frozenset[int]) -> bool: ...
-
-
-def _check_points(points: frozenset[int], size: int) -> None:
-    """Refuse a point set with an index outside range(size)."""
-    if points and (min(points) < 0 or max(points) >= size):
-        raise ValueError("point outside the space")
 
 
 class Exhaustive:
@@ -34,8 +29,7 @@ class Exhaustive:
     __slots__ = ("size",)
 
     def __init__(self, size: int):
-        if size <= 0:
-            raise ValueError("space size must be positive")
+        _check_steps(size, "size", 1)
         self.size = size
 
     def dense(self, points: frozenset[int]) -> bool:
@@ -112,11 +106,11 @@ class EpsNet:
 
     def dense(self, points: frozenset[int]) -> bool:
         ranks = self._ranks
-        if len(points) == len(ranks) and points.issuperset(range(len(ranks))):
+        _check_points(points, len(ranks))
+        if len(points) == len(ranks):  # checked, n points are the whole index set
             if self._whole is None:
                 self._whole = self._covers(ranks)
             return self._whole
-        _check_points(points, len(ranks))
         if len(points) < self._least:
             return False
         return self._covers(map(ranks.__getitem__, points))

@@ -7,6 +7,7 @@ set values are frozensets of indices.  Relations are non-empty edge sets
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -113,6 +114,7 @@ class Walk:
     def __post_init__(self):
         if not self.points:
             raise InvalidInstanceError("walks are non-empty")
+        _check_points(self.points, self.relation.space.size)
         for a, b in zip(self.points, self.points[1:]):
             if (a, b) not in self.relation.edges:
                 raise InvalidInstanceError(f"({a},{b}) is not an edge")
@@ -128,71 +130,72 @@ def inverse_relation(G: FiniteRelation) -> FiniteRelation:
     return FiniteRelation(G.space, ((b, a) for a, b in G.edges))
 
 
+def _check_int(value, name: str) -> None:
+    """Refuse a value that is not an int, naming its parameter; a bool is refused, though Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _check_steps(n, name: str, least: int = 0) -> None:
     """Refuse a step count that is not an int, or is below least (0 or 1), naming its parameter.
 
-    A bool is refused, though Python counts it as an int.  Both backends
-    check their counts with this before any step, so no symbolic frame,
-    whose depth is such a count, is built from a float.
+    Both backends check their counts with this before any step, so no
+    symbolic frame, whose depth is such a count, is built from a float.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
+    _check_int(n, name)
     if n < least:
         raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
 
 
+def _check_points(A, size: int, name: str = "point") -> None:
+    """Refuse points (a set, a walk's, or `_check_point`'s one) holding a non-int, a bool included, or one not in range(size)."""
+    for x in A:
+        if type(x) is not int:  # the common case skips the full test
+            _check_int(x, name)
+        if not 0 <= x < size:
+            raise ValueError(f"{name} outside the space")
+
+
 def _check_point(G: FiniteRelation, x, name: str = "point") -> None:
-    """Refuse a point that is not an int (a bool included) or not in G's space, naming it.
-
-    Every finite entry that takes a point calls this before anything else.
-    """
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"{name} must be an int, not {type(x).__name__}")
-    if not 0 <= x < G.space.size:
-        raise ValueError(f"{name} outside the space")
+    """Refuse a point that is not an int (a bool included) or not in G's space, naming it."""
+    _check_points((x,), G.space.size, name)
 
 
-def _steps(G: FiniteRelation, A: frozenset, n: int, neighbours) -> frozenset:
-    """n steps from A, each to the `neighbours` (successors or predecessors) of the last."""
-    _check_steps(n, "n")
-    if not A <= G.space.all_points():
-        raise ValueError("A is not a subset of the space")
+def _images(A, neighbours) -> Iterator[frozenset]:
+    """A, then each next image under `neighbours` (G's successors or predecessors), up to the first empty one; checks nothing."""
     current = frozenset(A)
-    for _ in range(n):
+    yield current
+    while current:
         current = frozenset(w for v in current for w in neighbours(v))
-        if not current:
-            break
-    return current
+        yield current
 
 
 def image(G: FiniteRelation, A: frozenset, n: int = 1) -> frozenset:
     """n-step forward image; image(G, A, 0) == A."""
-    return _steps(G, A, n, G.successors)
+    _check_steps(n, "n")
+    _check_points(A, G.space.size)
+    return next(itertools.islice(_images(A, G.successors), n, None), frozenset())
 
 
 def preimage(G: FiniteRelation, A: frozenset, n: int = 1) -> frozenset:
     """n-step backward image, i.e. the forward image under the inverse."""
-    return _steps(G, A, n, G.predecessors)
+    _check_steps(n, "n")
+    _check_points(A, G.space.size)
+    return next(itertools.islice(_images(A, G.predecessors), n, None), frozenset())
 
 
-def _stabilized_chain(G: FiniteRelation, forward: bool) -> frozenset:
-    # The chain G^n(X) decreases, so it stabilizes within |X| steps; the
-    # stabilized value is the omega set, exactly.
-    current = G.space.all_points()
-    step = image if forward else preimage
-    while True:
-        nxt = step(G, current, 1)
-        if nxt == current:
-            return current
-        current = nxt
+def _omega(G: FiniteRelation, neighbours) -> frozenset:
+    """The first repeated image of the whole space: the images decrease, so they stabilize, at the omega set."""
+    pairs = itertools.pairwise(_images(range(G.space.size), neighbours))
+    return next((b for a, b in pairs if a == b), frozenset())  # or they end empty
 
 
 def omega_image(G: FiniteRelation) -> frozenset:
-    return _stabilized_chain(G, forward=True)
+    return _omega(G, G.successors)
 
 
 def omega_preimage(G: FiniteRelation) -> frozenset:
-    return _stabilized_chain(G, forward=False)
+    return _omega(G, G.predecessors)
 
 
 def legal_set(G: FiniteRelation) -> frozenset:
@@ -222,15 +225,8 @@ def mahavier_enumerate(G: FiniteRelation, m: int, limit: int | None = None) -> l
     _check_steps(m, "m", 1)
     if limit is not None:
         _check_steps(limit, "limit")
-    out: list[Walk] = []
-    if limit == 0:
-        return out
-    for start in range(G.space.size):
-        for points in walks_from(G, start, m):
-            out.append(Walk(points, G))
-            if len(out) == limit:
-                return out
-    return out
+    walks = (Walk(points, G) for start in range(G.space.size) for points in _walks_from(G, start, m))
+    return list(itertools.islice(walks, limit))
 
 
 def walks_from(G: FiniteRelation, start: int, steps: int) -> Iterator[tuple[int, ...]]:

@@ -9,11 +9,12 @@ branches.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .classify import _SEARCH_BUDGET, Condensation, _analysis, _decide, _density, orbit_union, reach
 from .density import DensityPredicate
-from .finite import FiniteRelation, _check_point, _check_steps, image
+from .finite import FiniteRelation, _check_point, _check_steps, _images
 
 
 class TransTree:
@@ -27,19 +28,18 @@ class TransTree:
         self.relation = relation
         self.root = root
         self.depth = depth
-        levels = [frozenset([root])]
-        for _ in range(depth):
-            levels.append(image(relation, levels[-1], 1))
-        self.levels = tuple(levels)
+        levels = tuple(itertools.islice(_images((root,), relation.successors), depth + 1))
+        # the images end at the first empty one
+        self.levels = levels + (frozenset(),) * (depth + 1 - len(levels))
 
     def level(self, n: int) -> frozenset:
+        _check_steps(n, "n")
+        if n > self.depth:
+            raise ValueError(f"n must be at most the tree's depth, {self.depth}")
         return self.levels[n]
 
     def cumulative_level(self, n: int) -> frozenset:
-        out: frozenset = frozenset()
-        for lvl in self.levels[: n + 1]:
-            out |= lvl
-        return out
+        return self.level(n).union(*self.levels[:n])
 
     def nodes(self) -> list[tuple[int, int]]:
         """(point, level) pairs, sorted by level then point index."""

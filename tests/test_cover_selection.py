@@ -213,5 +213,7 @@ class TestFiniteTraversals:
         for step in (image, preimage):
             with pytest.raises(ValueError, match="non-negative"):
                 step(G, frozenset(), -1)
-            with pytest.raises(ValueError, match="subset"):
+            with pytest.raises(ValueError, match="^point outside the space$"):
                 step(G, frozenset({G.space.size}), 1)
+            with pytest.raises(TypeError, match="^point must be an int, not float$"):
+                step(G, frozenset({0.0}), 1)

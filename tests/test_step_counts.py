@@ -14,11 +14,19 @@ same way: a search's `budget`, the finite `search_budget` and
 walks every callable `crdyn` exports and every name the benchmark's traced
 run wraps, so a count parameter without a row here fails the suite.
 
+A predicate's `size`, a membership `level` (`k` for `do_transitive`) and
+a tree index `n` are refused the same way.  A level is one of 1, 2 and
+3, so any other int is refused with the one message "level must be 1, 2,
+or 3", before a point is classified; a tree index past the tree's depth
+is refused too (`level(-1)` once answered the last level).
+
 A point of a finite space is checked the same way, by `finite._check_point`:
 a bool, a float, a Fraction or a str raises a TypeError that names the
 parameter (a float once answered `tree_height`, or failed deep inside
 with "tuple indices must be integers"), and an int outside the space a
-ValueError.
+ValueError.  A point set or a walk is checked element by element by
+`finite._check_points`, with the same messages: `Exhaustive(3).dense`
+once counted {0.5, 1, 2} as the whole space, and `image` answered {True}.
 """
 
 import dataclasses
@@ -31,9 +39,9 @@ from pathlib import Path
 import pytest
 
 import crdyn
-from crdyn import classify, finite, gallery, symbolic, tree
-from crdyn.density import Exhaustive
-from crdyn.region import Region1D
+from crdyn import classify, density, finite, gallery, symbolic, tree
+from crdyn.density import EpsNet, Exhaustive
+from crdyn.region import Region1D, Space1D
 
 R = gallery.build("exhura").relation
 START = Region1D.point(F(1, 8))
@@ -84,8 +92,15 @@ CALLS = [
     ("membership search_budget", "search_budget", 0, lambda b: classify.membership(G, 0, 1, None, b)),
     ("branch_summary search_budget", "search_budget", 0, lambda b: tree.branch_summary(G, 0, None, b)),
     ("discretize box_cap", "box_cap", 0, stopped(lambda c: symbolic.discretize(R, F(1, 4), c))),
+    ("Exhaustive", "size", 1, lambda s: Exhaustive(s)),
+    ("membership level", "level", 1, lambda l: classify.membership(G, 0, l)),
+    ("trans_set level", "level", 1, lambda l: classify.trans_set(G, l)),
+    ("do_transitive k", "k", 1, lambda k: classify.do_transitive(G, k)),
+    ("TransTree.level", "n", 0, lambda n: tree.TransTree(G, 0, 3).level(n)),
+    ("TransTree.cumulative_level", "n", 0, lambda n: tree.TransTree(G, 0, 3).cumulative_level(n)),
 ]
 OPEN_ENDED = {"reach", "reach_chain", "mahavier_enumerate limit"}  # None runs to stabilisation, or lists every walk
+LEVELS = {"membership level", "trans_set level", "do_transitive k"}  # any int but 1, 2 and 3 has one message
 IDS = [name for name, _, _, _ in CALLS]
 
 
@@ -110,7 +125,9 @@ def test_a_step_count_that_is_not_an_int_is_refused(name, param, least, call, va
 @pytest.mark.parametrize("name,param,least,call", CALLS, ids=IDS)
 def test_a_negative_step_count_is_refused(name, param, least, call, no_frames):
     """A count below its least value: -1, or 0 where a walk needs a step."""
-    with pytest.raises(ValueError, match=f"^{param} must be {'positive' if least else 'non-negative'}$"):
+    bound = "positive" if least else "non-negative"
+    message = "level must be 1, 2, or 3" if name in LEVELS else f"{param} must be {bound}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(least - 1)
 
 
@@ -126,6 +143,53 @@ def test_a_search_budget_is_refused_before_the_condensation_is_built(entry):
     with pytest.raises(ValueError, match="^search_budget must be non-negative$"):
         entry(fresh, 0, None, -5)
     assert fresh._analysis is None
+
+
+def test_reach_grade_reads_its_predicate_like_classify_point():
+    """None is the exhaustive predicate, and one sized for another space is refused."""
+    one = finite.FiniteRelation(finite.FiniteSpace(["a"]), [(0, 0)])
+    with pytest.raises(ValueError, match="^Exhaustive\\(size=5\\) is sized for 5 points, the space has 1$"):
+        classify.reach_grade(one, 0, Exhaustive(5))
+    assert classify.reach_grade(G, 0, None) == classify.reach_grade(G, 0, Exhaustive(3)) == 2
+
+
+@pytest.mark.parametrize(
+    "name,param,least,call", [row for row in CALLS if row[0] in LEVELS], ids=[name for name in IDS if name in LEVELS]
+)
+@pytest.mark.parametrize("value", [4, True])
+def test_a_level_is_refused_before_any_point_is_classified(name, param, least, call, value, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was classified")
+
+    monkeypatch.setattr(classify, "classify_point", refuse)
+    with pytest.raises((TypeError, ValueError), match="^(level|k) must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", ["level", "cumulative_level"])
+def test_a_tree_index_past_the_depth_is_refused(entry):
+    index = getattr(tree.TransTree(G, 0, 3), entry)
+    index(3)
+    with pytest.raises(ValueError, match=r"^n must be at most the tree's depth, 3$"):
+        index(4)
+
+
+def test_a_tree_checks_its_root_once_and_calls_no_image(monkeypatch):
+    checked = []
+    check = finite._check_points
+
+    def counted(*args):
+        checked.append(args)
+        check(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("image was called")
+
+    monkeypatch.setattr(finite, "_check_points", counted)
+    monkeypatch.setattr(finite, "image", refuse)
+    built = tree.build_tree(G, 0, 6)
+    assert checked == [((0,), 3, "root")]
+    assert built.levels == tuple(frozenset({n % 3}) for n in range(7))
 
 
 # the names a count parameter goes by; a parameter so named must have a CALLS row
@@ -170,9 +234,11 @@ def test_every_count_parameter_has_a_row():
 
 @pytest.mark.parametrize("name,param,least,call", CALLS, ids=IDS)
 def test_every_row_names_a_parameter_of_its_entry(name, param, least, call):
-    entry = name.split()[0]
-    owner = next(m for m in (finite, classify, tree, symbolic) if hasattr(m, entry))
-    assert param in inspect.signature(getattr(owner, entry)).parameters
+    head, *attrs = name.split()[0].split(".")  # an entry, or a Class.method
+    entry = getattr(next(m for m in (finite, classify, tree, symbolic, density) if hasattr(m, head)), head)
+    for attr in attrs:
+        entry = getattr(entry, attr)
+    assert param in inspect.signature(entry).parameters
 
 
 # finite entry, the name its point goes by in messages, and a call with that point;
@@ -216,3 +282,36 @@ def test_a_point_outside_the_space_is_refused(name, param, call, value):
 def test_every_point_of_the_space_runs(name, param, call):
     for x in range(3):
         call(x)
+
+
+# a net of three extents on [0, 1], each point's extent a third of it
+NET = EpsNet(Space1D(intervals=[(0, 1)]), [(0, F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), 1)], F(1, 8))
+# finite entry taking a point set or a walk, and a call with a set or walk holding a value between 0 and 2;
+# on G, 0 -> value -> 2 is a walk when the value equals 1
+SETS = [
+    ("image", lambda v: finite.image(G, frozenset({0, v, 2}), 1)),
+    ("preimage", lambda v: finite.preimage(G, frozenset({0, v, 2}), 1)),
+    ("Walk", lambda v: finite.Walk((0, v, 2), G)),
+    ("Exhaustive.dense", lambda v: Exhaustive(3).dense(frozenset({0, v, 2}))),
+    ("EpsNet.dense", lambda v: NET.dense(frozenset({0, v, 2}))),
+]
+SET_IDS = [name for name, _ in SETS]
+
+
+@pytest.mark.parametrize("name,call", SETS, ids=SET_IDS)
+@pytest.mark.parametrize("value", [True, 1.0, F(1), "1", 0.5])
+def test_a_set_element_that_is_not_an_int_is_refused(name, call, value):
+    with pytest.raises(TypeError, match=f"^point must be an int, not {type(value).__name__}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name,call", SETS, ids=SET_IDS)
+@pytest.mark.parametrize("value", [-1, 3])
+def test_a_set_element_outside_the_space_is_refused(name, call, value):
+    with pytest.raises(ValueError, match="^point outside the space$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name,call", SETS, ids=SET_IDS)
+def test_a_set_of_points_runs(name, call):
+    call(1)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_random_function, make_random_relation
 from crdyn.classify import Verdict, classify_point, orbit_union, reach
-from crdyn.finite import FiniteRelation, FiniteSpace, image
+from crdyn.finite import FiniteRelation, FiniteSpace, image, walks_from
 from crdyn.tree import (
     branch_summary,
     build_tree,
@@ -50,7 +50,9 @@ class TestBuildTree:
             depth = rng.randint(0, 5)
             tree = build_tree(G, x, depth)
             for n in range(depth + 1):
+                # image reads the same image loop as the tree; the ends of the walks are a separate route
                 assert tree.level(n) == image(G, frozenset({x}), n)
+                assert tree.level(n) == {walk[-1] for walk in walks_from(G, x, n)}
             assert tree.node_count() <= G.space.size * (depth + 1)
 
     def test_cumulative_levels_equal_reach(self, rng):
